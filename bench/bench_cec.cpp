@@ -37,7 +37,6 @@
 
 #include <cerrno>
 #include <cinttypes>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -56,10 +55,14 @@
 #include "util/executor.hpp"
 #include "util/jsonw.hpp"
 #include "util/ledger.hpp"
+#include "util/numparse.hpp"
 #include "util/telemetry.hpp"
 #include "util/timer.hpp"
 
 namespace {
+
+using eco::util::parse_int;
+using eco::util::parse_u64;
 
 namespace aig = eco::aig;
 
@@ -226,26 +229,6 @@ int usage(const char* argv0) {
                "  --ledger FILE write the per-query JSONL ledger\n",
                argv0, eco::benchgen::kNumUnits - 1);
   return 2;
-}
-
-bool parse_u64(const char* s, uint64_t& out) {
-  if (s == nullptr || *s == '\0' || *s == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parse_int(const char* s, int& out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0' || v < INT_MIN || v > INT_MAX) return false;
-  out = static_cast<int>(v);
-  return true;
 }
 
 /// The committed size-class matrix (BENCH_cec.json): one linear-cost family

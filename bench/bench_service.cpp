@@ -37,7 +37,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cinttypes>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -54,9 +53,14 @@
 #include "util/buildinfo.hpp"
 #include "util/jsonr.hpp"
 #include "util/jsonw.hpp"
+#include "util/numparse.hpp"
 #include "util/timer.hpp"
 
 namespace {
+
+using eco::util::parse_double;
+using eco::util::parse_int;
+using eco::util::parse_u64;
 
 struct JobResult {
   bool responded = false;
@@ -210,16 +214,6 @@ int usage(const char* argv0) {
   return 2;
 }
 
-bool parse_int(const char* s, int& out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0' || v < INT_MIN || v > INT_MAX) return false;
-  out = static_cast<int>(v);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -249,11 +243,10 @@ int main(int argc, char** argv) {
                parsed >= 0) {
       isolate = parsed;
       ++i;
-    } else if (!std::strcmp(arg, "--seed") && operand != nullptr) {
-      seed = std::strtoull(operand, nullptr, 10);
+    } else if (!std::strcmp(arg, "--seed") && parse_u64(operand, seed)) {
       ++i;
-    } else if (!std::strcmp(arg, "--budget") && operand != nullptr) {
-      budget = std::strtod(operand, nullptr);
+    } else if (!std::strcmp(arg, "--budget") && parse_double(operand, budget) &&
+               budget >= 0) {
       ++i;
     } else if (!std::strcmp(arg, "--json") && operand != nullptr) {
       json_path = operand;

@@ -10,7 +10,7 @@
 //
 // Usage: bench_table1 [--seed N] [--unit K] [--budget SECONDS] [--jobs N]
 //                     [--json FILE] [--ledger FILE] [--ladder 0|1]
-//                     [--par-sat off|on|racy] [--cec mono|sweep]
+//                     [--par-sat off|on] [--cec mono|sweep]
 //
 // --cec selects the equivalence-checking backend for every engine run
 // (verification and window divisor discovery): `mono` (default, bit-identical
@@ -24,8 +24,8 @@
 //
 // --par-sat enables intra-query parallel SAT (sat/parsolve.hpp): a solve
 // stuck past the conflict trigger fans out over the same Executor the sweep
-// runs on. `on` keeps outcome fields deterministic (see the contract in
-// docs/PARALLEL_SAT.md); `racy` trades reproducibility for wall-clock.
+// runs on, and outcome fields stay deterministic (see the contract in
+// docs/PARALLEL_SAT.md).
 //
 // The 60 (unit, configuration) runs are independent; `--jobs N` (or the
 // ECO_JOBS environment variable; 0 = all hardware threads) sweeps them over
@@ -44,7 +44,6 @@
 
 #include <cerrno>
 #include <cinttypes>
-#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -64,9 +63,14 @@
 #include "util/executor.hpp"
 #include "util/jsonw.hpp"
 #include "util/ledger.hpp"
+#include "util/numparse.hpp"
 #include "util/timer.hpp"
 
 namespace {
+
+using eco::util::parse_double;
+using eco::util::parse_int;
+using eco::util::parse_u64;
 
 struct RunRow {
   bool ok = false;
@@ -165,9 +169,7 @@ void append_record(eco::JsonWriter& w, const eco::benchgen::EcoUnit& unit,
   w.kv("learnts_local", row.stats.sat_learnts_local);
   w.kv("par_escalations", row.stats.sat_par_escalations);
   w.kv("par_portfolio", row.stats.sat_par_portfolio);
-  w.kv("par_cube", row.stats.sat_par_cube);
   w.kv("par_wins", row.stats.sat_par_wins);
-  w.kv("par_clauses_imported", row.stats.sat_par_clauses_imported);
   w.end_object();
   w.key("sim");
   w.begin_object();
@@ -199,7 +201,7 @@ double ratio_or_one(double num, double den) {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--seed N] [--unit K] [--budget SECONDS] [--jobs N] [--json FILE]\n"
-               "          [--ledger FILE] [--ladder 0|1] [--par-sat off|on|racy]\n"
+               "          [--ledger FILE] [--ladder 0|1] [--par-sat off|on]\n"
                "          [--cec mono|sweep]\n"
                "  --seed N          benchmark-suite generator seed (default 20170912)\n"
                "  --unit K          run only unit K (0..%d)\n"
@@ -211,7 +213,7 @@ int usage(const char* argv0) {
                "                    (ecopatch-ledger-v1; analyze with ecoprof)\n"
                "  --ladder 0|1      strategy-ladder fallback (default 0: compare\n"
                "                    the configurations as-is)\n"
-               "  --par-sat MODE    intra-query parallel SAT: off | on | racy\n"
+               "  --par-sat MODE    intra-query parallel SAT: off | on\n"
                "                    (default: ECO_PAR_SAT, else off; 'on' keeps\n"
                "                    outcome fields deterministic)\n"
                "  --cec MODE        equivalence-checking backend: mono | sweep\n"
@@ -219,37 +221,6 @@ int usage(const char* argv0) {
                "                    docs/SWEEPING.md)\n",
                argv0, eco::benchgen::kNumUnits - 1);
   return 2;
-}
-
-// Strict numeric operand parsers: the whole operand must parse, in range.
-bool parse_u64(const char* s, uint64_t& out) {
-  if (s == nullptr || *s == '\0' || *s == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parse_int(const char* s, int& out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0' || v < INT_MIN || v > INT_MAX) return false;
-  out = static_cast<int>(v);
-  return true;
-}
-
-bool parse_double(const char* s, double& out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  out = v;
-  return true;
 }
 
 }  // namespace
@@ -302,7 +273,7 @@ int main(int argc, char** argv) {
       ++i;
     } else if (!std::strcmp(arg, "--par-sat")) {
       if (operand == nullptr || !eco::sat::parse_par_mode(operand, par_opts.mode)) {
-        std::fprintf(stderr, "%s: --par-sat needs off, on, or racy\n", argv[0]);
+        std::fprintf(stderr, "%s: --par-sat needs off or on\n", argv[0]);
         return usage(argv[0]);
       }
       ++i;

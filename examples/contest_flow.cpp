@@ -57,13 +57,19 @@ int main(int argc, char** argv) {
     case eco::core::EcoOutcome::Status::kUnknown:
       std::printf("ECO inconclusive within the budget.\n");
       return 2;
+    case eco::core::EcoOutcome::Status::kError:
+      std::fprintf(stderr, "ECO engine error (%s): %s\n",
+                   eco::core::fail_reason_name(outcome.fail_reason),
+                   outcome.fail_detail.c_str());
+      return 3;
     case eco::core::EcoOutcome::Status::kPatched:
       break;
   }
 
-  std::printf("patched & verified in %.2fs — cost %lld, %u gates, method %s\n",
-              outcome.seconds, static_cast<long long>(outcome.total_cost),
-              outcome.patch_gates, outcome.method.c_str());
+  std::printf("patched%s in %.2fs — cost %lld, %u gates, method %s\n",
+              outcome.verified ? " & verified" : " (NOT verified)", outcome.seconds,
+              static_cast<long long>(outcome.total_cost), outcome.patch_gates,
+              outcome.method.c_str());
   for (const auto& target : outcome.targets) {
     std::printf("  %-12s inputs:", target.target_name.c_str());
     for (const auto& s : target.support) std::printf(" %s", s.c_str());

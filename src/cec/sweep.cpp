@@ -55,8 +55,6 @@ CecOptions env_seeded_cec_defaults() {
     const unsigned long n = std::strtoul(v, &end, 10);
     if (end != v && *end == '\0') o.min_nodes = static_cast<uint32_t>(n);
   }
-  if (const char* v = std::getenv("ECO_SWEEP_ADAPTIVE"))
-    o.sweep.adaptive_chunk = v[0] != '0';
   return o;
 }
 
@@ -124,11 +122,6 @@ struct ClassTask {
 struct TaskResult {
   std::vector<PairOutcome> outcomes;  ///< one per member beyond the first
   uint64_t phase_seeded = 0;
-  /// Whole-chunk solver cost, stored at the chunk's first class (the
-  /// results[lo] convention phase_seeded already uses). Conflicts are the
-  /// deterministic adaptation signal of SweepOptions::adaptive_chunk.
-  uint64_t chunk_conflicts = 0;
-  uint64_t chunk_solves = 0;
 };
 
 class Sweeper {
@@ -192,11 +185,8 @@ class Sweeper {
   /// Runs the refine/prove/merge rounds. Returns early (without error) on
   /// deadline/cancellation; the reduced AIG is valid either way.
   void run() {
-    size_t chunk =
+    const size_t chunk =
         opts_.chunk_classes > 0 ? static_cast<size_t>(opts_.chunk_classes) : 32;
-    const size_t min_chunk = std::max<size_t>(1, opts_.adaptive_min_chunk);
-    const size_t max_chunk = std::max(min_chunk, static_cast<size_t>(
-                                                     opts_.adaptive_max_chunk));
     for (uint32_t round = 0; round < opts_.max_rounds; ++round) {
       if (interrupted()) break;
       build_reduced();
@@ -220,23 +210,6 @@ class Sweeper {
         executor_->parallel_for(num_chunks, prove_one);
       else
         for (size_t k = 0; k < num_chunks; ++k) prove_one(k);
-      if (opts_.adaptive_chunk && num_chunks > 0) {
-        // Steer next round's chunk size by this round's mean conflicts per
-        // chunk (deterministic — independent of executor width and wall
-        // time, so sweeps stay reproducible). Hot chunks (mean past the
-        // per-pair proof budget) amortized their encoding long ago and now
-        // risk the slice deadline: halve. Nearly-cold chunks (under 1/8 of
-        // the budget) pay encoding setup for trivial query runs: double.
-        const int64_t budget =
-            opts_.proof_conflict_budget > 0 ? opts_.proof_conflict_budget : 20000;
-        uint64_t conflicts = 0;
-        for (size_t k = 0; k < num_chunks; ++k)
-          conflicts += results[std::min(tasks.size() - 1, k * chunk)].chunk_conflicts;
-        const uint64_t mean = conflicts / num_chunks;
-        if (mean > static_cast<uint64_t>(budget)) chunk = chunk / 2;
-        else if (mean < static_cast<uint64_t>(budget) / 8) chunk = chunk * 2;
-        chunk = std::min(max_chunk, std::max(min_chunk, chunk));
-      }
       if (!apply(tasks, off, results)) break;  // no progress: classes settled
     }
     build_reduced();  // fold the last round's merges
@@ -646,14 +619,7 @@ class Sweeper {
         }
       }
     }
-    if (lo < results.size()) {
-      results[lo].phase_seeded = phase_seeded;
-      // Whole-chunk cost: one solver serves the chunk, so its final totals
-      // are exactly this chunk's bill. Feeds the adaptive sizing in run()
-      // and the per-chunk `sweep_chunk` ledger record.
-      results[lo].chunk_conflicts = solver.stats().conflicts;
-      results[lo].chunk_solves = solver.stats().solves;
-    }
+    if (lo < results.size()) results[lo].phase_seeded = phase_seeded;
     if (ledger_on) {
       ledger::Record r;
       r.kind = ledger::Kind::kSweepChunk;

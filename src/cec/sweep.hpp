@@ -119,20 +119,6 @@ struct SweepOptions {
   /// parallel grain). Fixed by option, never by executor width, so results
   /// are width-invariant. <= 0: the default.
   int64_t chunk_classes = 128;
-  /// Adaptive chunk sizing (env `ECO_SWEEP_ADAPTIVE=1`, default off): after
-  /// each round the chunk size for the *next* round is steered by this
-  /// round's mean SAT conflicts per chunk — halved when chunks run hot
-  /// (past the per-pair proof budget: encodings outlive their usefulness
-  /// and slice deadlines cut proofs short), doubled when they run nearly
-  /// cold (cheap chunks waste their shared encoding on too few queries).
-  /// The signal is deterministic solver conflicts, never wall time, and
-  /// the size is still never derived from executor width, so results stay
-  /// width-invariant and reproducible. Per-chunk costs are recorded in the
-  /// ledger as `sweep_chunk` records either way.
-  bool adaptive_chunk = false;
-  /// Clamp bounds for the adapted chunk size.
-  uint32_t adaptive_min_chunk = 16;
-  uint32_t adaptive_max_chunk = 1024;
   /// Root-probe budget for sweep_check: before any sweeping, the root is
   /// queried once with this many conflicts (unseeded — a counterexample
   /// hunt). A definitive answer ends the check at monolithic price; on

@@ -556,9 +556,7 @@ EcoOutcome run_eco_attempt(const EcoProblem& problem, const EngineOptions& optio
     out.stats.sat_learnts_local = sat.learnts_local;
     out.stats.sat_par_escalations = sat.par_escalations;
     out.stats.sat_par_portfolio = sat.par_portfolio;
-    out.stats.sat_par_cube = sat.par_cube;
     out.stats.sat_par_wins = sat.par_wins;
-    out.stats.sat_par_clauses_imported = sat.par_clauses_imported;
   };
 
   // 1. Structural pruning (paper §3.3).
@@ -1065,9 +1063,7 @@ std::string outcome_to_json(const EcoOutcome& outcome) {
   w.kv("learnts_local", outcome.stats.sat_learnts_local);
   w.kv("par_escalations", outcome.stats.sat_par_escalations);
   w.kv("par_portfolio", outcome.stats.sat_par_portfolio);
-  w.kv("par_cube", outcome.stats.sat_par_cube);
   w.kv("par_wins", outcome.stats.sat_par_wins);
-  w.kv("par_clauses_imported", outcome.stats.sat_par_clauses_imported);
   w.end_object();
 
   w.key("sweep");

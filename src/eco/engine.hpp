@@ -175,9 +175,7 @@ struct EngineStats {
   // Intra-query parallel SAT (sat/parsolve.hpp); all zero with --par-sat=off.
   uint64_t sat_par_escalations = 0;
   uint64_t sat_par_portfolio = 0;
-  uint64_t sat_par_cube = 0;
   uint64_t sat_par_wins = 0;
-  uint64_t sat_par_clauses_imported = 0;
 
   // Simulation-bank filtering (eco/simfilter.hpp), summed over the run's
   // filters; all zero when the bank is disabled.

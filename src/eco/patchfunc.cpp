@@ -87,12 +87,11 @@ PatchFuncResult compute_patch_cover(const EcoMiter& m, uint32_t target,
     // Cube literals in the off-copy, asserting d == model value. Ordered by
     // increasing divisor cost (support inherits the cost order from the
     // candidate list), so expansion drops expensive literals first.
+    // cube_lits[i] belongs to SOP variable i.
     sat::LitVec cube_lits;
-    std::vector<uint32_t> cube_vars;  // SOP variable index per literal
     for (size_t i = 0; i < support.size(); ++i) {
       const bool value = on_solver.model_value(d_on[i]);
       cube_lits.push_back(value ? d_off[i] : ~d_off[i]);
-      cube_vars.push_back(static_cast<uint32_t>(i));
     }
 
     // Expand to a prime cube against the off-set.
@@ -131,7 +130,7 @@ PatchFuncResult compute_patch_cover(const EcoMiter& m, uint32_t target,
     for (const sat::Lit l : kept_lits) {
       const auto it = std::find_if(cube_lits.begin(), cube_lits.end(),
                                    [&](sat::Lit cl) { return cl == l; });
-      const size_t var = cube_vars[static_cast<size_t>(it - cube_lits.begin())];
+      const auto var = static_cast<size_t>(it - cube_lits.begin());
       const bool positive = !l.sign() == !d_off[var].sign();  // value asserted
       sop_lits.push_back(positive ? sop::lit_pos(static_cast<uint32_t>(var))
                                   : sop::lit_neg(static_cast<uint32_t>(var)));

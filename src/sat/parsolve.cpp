@@ -28,18 +28,8 @@ const char* par_mode_name(ParMode m) noexcept {
   switch (m) {
     case ParMode::kOff: return "off";
     case ParMode::kDeterministic: return "on";
-    case ParMode::kRacy: return "racy";
   }
   return "off";
-}
-
-const char* par_strategy_name(ParStrategy s) noexcept {
-  switch (s) {
-    case ParStrategy::kAuto: return "auto";
-    case ParStrategy::kPortfolio: return "portfolio";
-    case ParStrategy::kCube: return "cube";
-  }
-  return "auto";
 }
 
 bool parse_par_mode(std::string_view text, ParMode& out) noexcept {
@@ -47,8 +37,6 @@ bool parse_par_mode(std::string_view text, ParMode& out) noexcept {
     out = ParMode::kOff;
   } else if (text == "on") {
     out = ParMode::kDeterministic;
-  } else if (text == "racy") {
-    out = ParMode::kRacy;
   } else {
     return false;
   }
@@ -72,19 +60,9 @@ ParSolveOptions env_seeded_par_defaults() {
     ParMode m;
     if (parse_par_mode(v, m)) o.mode = m;
   }
-  if (const char* v = std::getenv("ECO_PAR_SAT_STRATEGY")) {
-    const std::string_view s(v);
-    if (s == "portfolio")
-      o.strategy = ParStrategy::kPortfolio;
-    else if (s == "cube")
-      o.strategy = ParStrategy::kCube;
-    else if (s == "auto")
-      o.strategy = ParStrategy::kAuto;
-  }
   o.clones = static_cast<int>(env_long("ECO_PAR_SAT_CLONES", 2, 32, o.clones));
   o.trigger_conflicts = env_long("ECO_PAR_SAT_TRIGGER", 0, 1L << 40,
                                  static_cast<long>(o.trigger_conflicts));
-  o.cube_vars = static_cast<int>(env_long("ECO_PAR_SAT_CUBE_VARS", 1, 6, o.cube_vars));
   return o;
 }
 
@@ -126,7 +104,6 @@ struct ParSolveAccess {
     return std::max<int64_t>(0, s.conflict_budget_ - conflicts_since_start(s));
   }
   static int64_t trigger_override(const Solver& s) noexcept { return s.par_trigger_override_; }
-  static double solve_elapsed(const Solver& s) noexcept { return s.solve_timer_.seconds(); }
   static const LitVec& assumptions(const Solver& s) noexcept { return s.assumptions_; }
   static const CancelToken& cancel(const Solver& s) noexcept { return s.cancel_; }
   static const Deadline& deadline(const Solver& s) noexcept { return s.deadline_; }
@@ -145,24 +122,10 @@ struct ParSolveAccess {
   }
 
   /// Runs the private solve (no ledger kSolve record — the escalation emits
-  /// its own portfolio_attempt / cube_solve records instead).
+  /// its own portfolio_attempt records instead).
   static LBool solve_quiet(Solver& s, std::span<const Lit> a) { return s.solve_impl(a); }
 
   static std::vector<LBool> take_model(Solver& s) { return std::move(s.model_); }
-
-  static void set_export(Solver& s, uint32_t lbd_cut, uint32_t max_pending) {
-    s.export_lbd_cut_ = lbd_cut;
-    s.export_max_ = max_pending;
-  }
-  static std::vector<LitVec> take_exports(Solver& s) {
-    std::vector<LitVec> out = std::move(s.export_pending_);
-    s.export_pending_.clear();
-    return out;
-  }
-  static void set_restart_hook(Solver& s, void (*fn)(void*, Solver&), void* ctx) noexcept {
-    s.restart_hook_ = fn;
-    s.restart_hook_ctx_ = ctx;
-  }
 
   static void install_sat(Solver& parent, std::vector<LBool> model) {
     parent.model_ = std::move(model);
@@ -237,83 +200,13 @@ struct ParSolveAccess {
       s.order_heap_.update(v, s.activity_);  // no-op for non-decision vars
     }
   }
-
-  /// Occurrence-based lookahead scoring: split on decision variables that
-  /// are frequent and polarity-balanced (score pos*neg), skipping fixed and
-  /// assumed variables. Ties break toward the lowest index (determinism).
-  static std::vector<Var> pick_cube_vars(Solver& s, int k, const LitVec& assumed) {
-    const auto n = static_cast<size_t>(s.num_vars());
-    std::vector<uint32_t> pos(n, 0), neg(n, 0);
-    for (const CRef ref : s.clauses_) {
-      auto c = s.clause(ref);
-      for (const Lit l : c.lits())
-        ++(l.sign() ? neg : pos)[static_cast<size_t>(l.var())];
-    }
-    std::vector<uint8_t> blocked(n, 0);
-    for (const Lit l : assumed) blocked[static_cast<size_t>(l.var())] = 1;
-    std::vector<std::pair<uint64_t, Var>> scored;
-    for (Var v = 0; v < static_cast<Var>(n); ++v) {
-      const auto i = static_cast<size_t>(v);
-      if (blocked[i] || s.decision_[i] == 0 || !s.fixed_value(v).is_undef()) continue;
-      const uint64_t score = static_cast<uint64_t>(pos[i]) * neg[i];
-      if (score > 0) scored.emplace_back(score, v);
-    }
-    const size_t want = std::min(scored.size(), static_cast<size_t>(k));
-    std::partial_sort(scored.begin(), scored.begin() + static_cast<ptrdiff_t>(want),
-                      scored.end(), [](const auto& a, const auto& b) {
-                        return a.first != b.first ? a.first > b.first : a.second < b.second;
-                      });
-    std::vector<Var> out;
-    out.reserve(want);
-    for (size_t i = 0; i < want; ++i) out.push_back(scored[i].second);
-    return out;
-  }
-
-  /// The preferred literal of \p v per the saved phase (polarity 1 ==
-  /// "assign false first"). Branch 0 of a cube follows all preferences.
-  static Lit preferred_lit(const Solver& s, Var v) noexcept {
-    return mk_lit(v, s.polarity_[static_cast<size_t>(v)] != 0);
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Clause exchange (racy mode): bounded, lock-light, best-effort
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// One escalation's shared clause store. Publishers and importers go through
-/// a single try-lock round per restart: on contention the round is simply
-/// skipped (sharing is best-effort), so no clone ever blocks on a sibling.
-/// Entries are append-only and capped; per-clone cursors make every accepted
-/// clause reach each sibling exactly once (a publisher's cursor skips its
-/// own batch).
-class ClauseExchange {
- public:
-  explicit ClauseExchange(size_t capacity) : capacity_(capacity) {}
-
-  /// Imports everything published since \p cursor into \p incoming, then
-  /// publishes \p outgoing (up to capacity) and advances \p cursor past it.
-  void round(size_t& cursor, std::vector<LitVec>& outgoing,
-             std::vector<LitVec>& incoming) {
-    std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
-    if (!lock.owns_lock()) return;  // contended: retry next restart
-    for (; cursor < clauses_.size(); ++cursor) incoming.push_back(clauses_[cursor]);
-    for (auto& c : outgoing)
-      if (clauses_.size() < capacity_) clauses_.push_back(std::move(c));
-    cursor = clauses_.size();
-    outgoing.clear();
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<LitVec> clauses_;
-  size_t capacity_;
 };
 
 // ---------------------------------------------------------------------------
 // The race
 // ---------------------------------------------------------------------------
+
+namespace {
 
 struct CloneResult {
   LBool status = kUndef;
@@ -322,31 +215,17 @@ struct CloneResult {
   CancelReason cancel = CancelReason::kNone;
   bool deadline_expired = false;
   uint64_t conflicts = 0, decisions = 0, propagations = 0;
-  uint32_t vars = 0, clauses = 0, imported = 0;
+  uint32_t vars = 0, clauses = 0;
   double wall = 0, cpu = 0;
   bool done = false;
 };
 
-/// Per-clone restart-hook context (racy clause exchange).
-struct HookCtx {
-  ClauseExchange* exchange = nullptr;
-  size_t cursor = 0;
-  uint32_t imported = 0;
-  std::vector<LitVec> outgoing_spill;  // kept across contended rounds
-  std::vector<LitVec> incoming;
-};
-
 struct Race {
   // Fixed after setup (coordinator), read-only during the race.
-  int num = 0;       ///< ranks: portfolio clones or cube branches
-  bool racy = false;
-  bool cube = false;
-  LitVec base_assumptions;
-  std::vector<LitVec> extra_assumptions;  ///< per-rank cube suffix
+  int num = 0;  ///< portfolio clones
+  LitVec assumptions;
   std::vector<CancelToken> tokens;
   telemetry::SolverTotalsAccumulator* capture = nullptr;
-  std::unique_ptr<ClauseExchange> exchange;
-  std::vector<HookCtx> hooks;
 
   // Claimed through the atomic; each solver is touched by exactly one
   // thread (its claimer), which also destroys it — no cross-thread reads.
@@ -360,33 +239,17 @@ struct Race {
   int done_count = 0;
   int winner = -1;  ///< fixed once decided; -1 while (or forever) undecided
 
-  /// True when \p status settles the race for rank \p r: any definitive
-  /// result for a portfolio, a model for a cube split (an UNSAT branch only
-  /// contributes to the all-UNSAT union).
-  bool qualifies(const LBool& status) const noexcept {
-    return status.is_true() || (!cube && status.is_false());
-  }
-
-  /// Called under mu when rank \p r completes. Deterministic mode fixes the
-  /// winner as the lowest qualifying rank once every lower rank is done —
-  /// a timing-independent tie-break; racy mode takes the first qualifier.
+  /// Called under mu when a rank completes. Fixes the winner as the lowest
+  /// rank with a definitive result once every lower rank is done — a
+  /// timing-independent tie-break.
   void on_done_locked() {
     if (winner >= 0) return;
-    if (racy) {
-      for (int r = 0; r < num; ++r)
-        if (results[static_cast<size_t>(r)].done &&
-            qualifies(results[static_cast<size_t>(r)].status)) {
-          winner = r;
-          break;
-        }
-    } else {
-      for (int r = 0; r < num; ++r) {
-        const auto& res = results[static_cast<size_t>(r)];
-        if (!res.done) return;  // a lower rank is pending: undecided
-        if (qualifies(res.status)) {
-          winner = r;
-          break;
-        }
+    for (int r = 0; r < num; ++r) {
+      const auto& res = results[static_cast<size_t>(r)];
+      if (!res.done) return;  // a lower rank is pending: undecided
+      if (!res.status.is_undef()) {
+        winner = r;
+        break;
       }
     }
     if (winner >= 0) {
@@ -397,19 +260,6 @@ struct Race {
     }
   }
 };
-
-void exchange_restart_hook(void* ctx, Solver& s) {
-  auto* h = static_cast<HookCtx*>(ctx);
-  auto exported = ParSolveAccess::take_exports(s);
-  for (auto& c : exported) h->outgoing_spill.push_back(std::move(c));
-  h->incoming.clear();
-  h->exchange->round(h->cursor, h->outgoing_spill, h->incoming);
-  for (const auto& c : h->incoming) {
-    if (!s.okay()) break;  // imported clause exposed top-level UNSAT
-    s.add_clause(c);
-    ++h->imported;
-  }
-}
 
 /// Runs one rank on the calling thread: solve, snapshot the result, destroy
 /// the clone (inside the claimer's telemetry capture), then publish under
@@ -428,12 +278,7 @@ void run_rank(Race& race, int r) {
     out.clauses = ParSolveAccess::num_clauses(s);
     const Timer wall;
     const double cpu0 = ledger::thread_cpu_seconds();
-    if (!skip) {
-      LitVec a = race.base_assumptions;
-      const LitVec& extra = race.extra_assumptions[idx];
-      a.insert(a.end(), extra.begin(), extra.end());
-      out.status = ParSolveAccess::solve_quiet(s, a);
-    }
+    if (!skip) out.status = ParSolveAccess::solve_quiet(s, race.assumptions);
     out.wall = wall.seconds();
     out.cpu = ledger::thread_cpu_seconds() - cpu0;
     const SolverStats& st = s.stats();
@@ -446,7 +291,6 @@ void run_rank(Race& race, int r) {
       out.cancel = race.tokens[idx].reason();
       if (!skip) out.deadline_expired = ParSolveAccess::deadline_expired(s);
     }
-    if (!race.hooks.empty()) out.imported = race.hooks[idx].imported;
   }
   race.solvers[idx].reset();
   {
@@ -479,7 +323,7 @@ void claim_ranks(const std::shared_ptr<Race>& race) {
 void append_worker_record(const Race& race, int rank, bool is_winner) {
   const auto& res = race.results[static_cast<size_t>(rank)];
   ledger::Record r;
-  r.kind = race.cube ? ledger::Kind::kCubeSolve : ledger::Kind::kPortfolioAttempt;
+  r.kind = ledger::Kind::kPortfolioAttempt;
   r.wall_seconds = res.wall;
   r.cpu_seconds = res.cpu;
   r.conflicts = res.conflicts;
@@ -489,7 +333,6 @@ void append_worker_record(const Race& race, int rank, bool is_winner) {
   r.clauses = res.clauses;
   r.par_rank = static_cast<uint16_t>(rank);
   r.par_winner = is_winner ? 1 : 0;
-  r.par_imported = res.imported;
   r.result = res.status.is_true()    ? ledger::QueryResult::kSat
              : res.status.is_false() ? ledger::QueryResult::kUnsat
                                      : ledger::QueryResult::kUndef;
@@ -542,13 +385,8 @@ std::optional<LBool> maybe_escalate_par(Solver& parent) {
   if (total_budget >= 0)
     trigger = std::min(trigger, std::max<int64_t>(total_budget / 2, 2000));
 
-  const bool racy = o.mode == ParMode::kRacy;
   const int64_t gate = std::max(trigger, ParSolveAccess::retry_at(parent));
-  bool crossed = ParSolveAccess::conflicts_since_start(parent) >= gate;
-  if (!crossed && racy && o.trigger_wall_seconds > 0 &&
-      ParSolveAccess::failed_rounds(parent) == 0)
-    crossed = ParSolveAccess::solve_elapsed(parent) >= o.trigger_wall_seconds;
-  if (!crossed) return std::nullopt;
+  if (ParSolveAccess::conflicts_since_start(parent) < gate) return std::nullopt;
 
   const int64_t remaining = ParSolveAccess::remaining_conflicts(parent);
   if (remaining >= 0 && remaining < 4000) {
@@ -558,36 +396,12 @@ std::optional<LBool> maybe_escalate_par(Solver& parent) {
     return std::nullopt;
   }
 
-  int width = std::clamp(o.clones, 2, 32);
-  int reserved = 0;
-  if (racy) {
-    // Racy mode is polite: it only fans out into slots the sweep is not
-    // using. Deterministic mode must not consult occupancy (the verdict
-    // would depend on sweep timing) — its helpers just queue behind the
-    // sweep and the coordinator claims every rank itself if need be.
-    reserved = ex->try_reserve(width - 1);
-    if (reserved == 0) {
-      ECO_TELEMETRY_COUNT("parsat.saturated");
-      return std::nullopt;  // not marked attempted: retry at a later restart
-    }
-    width = reserved + 1;
-  }
-
-  ParStrategy strategy = o.strategy;
-  if (strategy == ParStrategy::kAuto) strategy = ParStrategy::kPortfolio;
-
+  // Helpers never consult pool occupancy (the verdict would depend on sweep
+  // timing): they just queue behind the sweep, and the coordinator claims
+  // every rank itself if need be.
   auto race = std::make_shared<Race>();
-  race->racy = racy;
-  race->base_assumptions = ParSolveAccess::assumptions(parent);
-
-  std::vector<Var> cube_vars;
-  if (strategy == ParStrategy::kCube) {
-    const int k = std::clamp(o.cube_vars, 1, 6);
-    cube_vars = ParSolveAccess::pick_cube_vars(parent, k, race->base_assumptions);
-    if (cube_vars.empty()) strategy = ParStrategy::kPortfolio;  // nothing to split on
-  }
-  race->cube = strategy == ParStrategy::kCube;
-  race->num = race->cube ? (1 << cube_vars.size()) : width;
+  race->num = std::clamp(o.clones, 2, 32);
+  race->assumptions = ParSolveAccess::assumptions(parent);
 
   // Per-worker conflict slices. Budgeted: split the remainder (spent by
   // proxy — an all-undef race is adopted as the budget verdict). Unbudgeted:
@@ -617,7 +431,6 @@ std::optional<LBool> maybe_escalate_par(Solver& parent) {
   // shrinks and an unbudgeted round-0 slice is a constant.
   if (slice < static_cast<int64_t>(ParSolveAccess::num_clauses(parent)) / 16) {
     ParSolveAccess::mark_attempted(parent);
-    if (reserved > 0) ex->release(reserved);
     ECO_TELEMETRY_COUNT("parsat.declined_thin");
     return std::nullopt;
   }
@@ -625,44 +438,18 @@ std::optional<LBool> maybe_escalate_par(Solver& parent) {
   const CancelToken& parent_cancel = ParSolveAccess::cancel(parent);
   race->solvers.resize(static_cast<size_t>(race->num));
   race->tokens.resize(static_cast<size_t>(race->num));
-  race->extra_assumptions.resize(static_cast<size_t>(race->num));
   race->results.resize(static_cast<size_t>(race->num));
   race->capture = telemetry::current_solver_capture();
-  const bool share = racy && o.share_lbd_cut > 0;
-  if (share) {
-    race->exchange = std::make_unique<ClauseExchange>(o.exchange_capacity);
-    race->hooks.resize(static_cast<size_t>(race->num));
-  }
 
   for (int r = 0; r < race->num; ++r) {
     const auto idx = static_cast<size_t>(r);
-    const SolverOptions opts = race->cube
-                                   ? parent.options()
-                                   : diversified_options(parent.options(), r);
-    auto clone = ParSolveAccess::clone(parent, opts);
-    if (!race->cube && r > 0)
-      ParSolveAccess::diversify(*clone, o.seed ^ (static_cast<uint64_t>(r) << 17));
-    if (race->cube) {
-      // Branch r assigns cube var i its preferred phase iff bit i of r is
-      // clear — branch 0 follows every saved phase (the simulation-biased
-      // ordering once circuit-aware phase seeding feeds polarities).
-      LitVec& extra = race->extra_assumptions[idx];
-      for (size_t i = 0; i < cube_vars.size(); ++i)
-        extra.push_back(ParSolveAccess::preferred_lit(parent, cube_vars[i]) ^
-                        (((r >> i) & 1) != 0));
-    }
+    auto clone = ParSolveAccess::clone(parent, diversified_options(parent.options(), r));
+    if (r > 0) ParSolveAccess::diversify(*clone, o.seed ^ (static_cast<uint64_t>(r) << 17));
     race->tokens[idx] =
         parent_cancel.valid() ? parent_cancel.child(0) : CancelToken::stoppable();
     clone->set_cancel(race->tokens[idx]);
     clone->set_deadline(ParSolveAccess::deadline(parent));
     clone->set_conflict_budget(slice);
-    if (share) {
-      race->hooks[idx].exchange = race->exchange.get();
-      ParSolveAccess::set_export(*clone, o.share_lbd_cut,
-                                 static_cast<uint32_t>(o.exchange_capacity));
-      ParSolveAccess::set_restart_hook(*clone, &exchange_restart_hook,
-                                       &race->hooks[idx]);
-    }
     race->solvers[idx] = std::move(clone);
   }
 
@@ -670,29 +457,23 @@ std::optional<LBool> maybe_escalate_par(Solver& parent) {
   // from the shared counter. Every claimed rank is executed by a live
   // thread and every rank gets claimed (the coordinator drains leftovers),
   // so the completion wait below is finite.
-  const int helpers = std::min(width - 1, race->num - 1);
-  for (int h = 0; h < helpers; ++h) ex->submit([race] { claim_ranks(race); });
+  for (int h = 0; h + 1 < race->num; ++h) ex->submit([race] { claim_ranks(race); });
   claim_ranks(race);
   {
     std::unique_lock<std::mutex> lock(race->mu);
     race->cv.wait(lock, [&] { return race->done_count == race->num; });
   }
-  if (reserved > 0) ex->release(reserved);
 
   // ---- Aggregate --------------------------------------------------------
   const int winner = race->winner;
-  uint64_t imported_total = 0;
-  for (const auto& res : race->results) imported_total += res.imported;
   if (ledger::enabled())
     for (int r = 0; r < race->num; ++r) append_worker_record(*race, r, r == winner);
 
   SolverStats& pstats = ParSolveAccess::stats(parent);
   ++pstats.par_escalations;
-  race->cube ? ++pstats.par_cube : ++pstats.par_portfolio;
-  pstats.par_clauses_imported += imported_total;
+  ++pstats.par_portfolio;
   ECO_TELEMETRY_COUNT("parsat.escalations");
-  ECO_TELEMETRY_COUNT(race->cube ? "parsat.cube" : "parsat.portfolio");
-  if (imported_total > 0) ECO_TELEMETRY_COUNT("parsat.clauses_imported", imported_total);
+  ECO_TELEMETRY_COUNT("parsat.portfolio");
 
   if (winner >= 0) {
     auto& res = race->results[static_cast<size_t>(winner)];
@@ -704,33 +485,6 @@ std::optional<LBool> maybe_escalate_par(Solver& parent) {
     }
     ParSolveAccess::install_unsat(parent, std::move(res.core));
     return kFalse;
-  }
-
-  if (race->cube) {
-    // All branches done, none SAT. All-UNSAT composes: any assignment
-    // matches exactly one cube branch, whose core (restricted to the
-    // original assumptions; its cube literals are covered by the match)
-    // blocks it — so the union of the restricted cores is a parent core.
-    bool all_unsat = true;
-    for (const auto& res : race->results) all_unsat &= res.status.is_false();
-    if (all_unsat) {
-      std::vector<uint8_t> in_base(static_cast<size_t>(parent.num_vars()), 0);
-      for (const Lit l : race->base_assumptions) in_base[static_cast<size_t>(l.var())] = 1;
-      LitVec core_union;
-      std::vector<uint8_t> seen(static_cast<size_t>(parent.num_vars()), 0);
-      for (const auto& res : race->results)
-        for (const Lit l : res.core) {
-          const auto v = static_cast<size_t>(l.var());
-          if (in_base[v] && !seen[v]) {
-            seen[v] = 1;
-            core_union.push_back(l);
-          }
-        }
-      ++pstats.par_wins;
-      ECO_TELEMETRY_COUNT("parsat.wins");
-      ParSolveAccess::install_unsat(parent, std::move(core_union));
-      return kFalse;
-    }
   }
 
   // Inconclusive race. Budgeted: the workers spent the remaining budget by

@@ -1,24 +1,15 @@
 /// \file parsolve.hpp
-/// \brief Intra-query parallel SAT: diversified portfolio racing and
-/// cube-and-conquer for solves that cross a "stuck" threshold.
+/// \brief Intra-query parallel SAT: a deterministic portfolio race for
+/// solves that cross a "stuck" threshold.
 ///
 /// The bench sweep parallelizes *across* queries, but one hard QBF-expansion
 /// or SAT_prune query still burns a single core while the rest of the
 /// Executor idles. This layer hooks `Solver::solve_impl` at restart
 /// boundaries: once a solve has spent more than a trigger's worth of
-/// conflicts (or, in racy mode, wall time), the solve escalates —
-///
-///  - **portfolio**: K diversified clones of the instance (seed, restart
-///    policy, phase init, local-cap base) race on the registered Executor;
-///    the winner's model / UNSAT core is installed on the parent solver and
-///    the siblings are cancelled through per-clone `CancelToken::child`
-///    tokens.
-///  - **cube-and-conquer**: a small cube set is picked by occurrence-based
-///    lookahead scoring over the instance's variables (branches ordered by
-///    the saved phases, which circuit-aware phase seeding biases once it
-///    lands); the 2^k sub-instances are solved as Executor tasks and their
-///    results combined — any SAT branch yields a model, all-UNSAT yields the
-///    union of the branch cores restricted to the original assumptions.
+/// conflicts, K diversified clones of the instance (seed, restart policy,
+/// phase init, local-cap base) race on the registered Executor; the
+/// winner's model / UNSAT core is installed on the parent solver and the
+/// siblings are cancelled through per-clone `CancelToken::child` tokens.
 ///
 /// Because the hook sits inside the `Solver::solve` chokepoint, every
 /// consumer (support, resub, irredundancy, QBF-CEGAR, CEC) benefits without
@@ -52,19 +43,13 @@
 /// remainder) — the budget is burned K-ways in parallel, so a
 /// budget-saturated query reaches its verdict in roughly 1/K the wall
 /// time — and an all-undef race is adopted as the budget verdict.
-/// `--par-sat=racy` (`ParMode::kRacy`) drops the contract for speed:
-/// first definitive finisher wins, a wall-clock trigger is honored, workers
-/// are admitted only when `Executor::try_reserve` grants slots, and core
-/// learnt clauses (LBD <= share_lbd_cut) flow between clones through a
-/// bounded exchange drained at restart boundaries.
 ///
 /// Observability: `parsat.*` telemetry counters, `par_*` fields in the
-/// solver rollup, and per-worker `portfolio_attempt` / `cube_solve` ledger
-/// records (docs/OBSERVABILITY.md). Tuning and the full contract:
+/// solver rollup, and per-worker `portfolio_attempt` ledger records
+/// (docs/OBSERVABILITY.md). Tuning and the full contract:
 /// docs/PARALLEL_SAT.md.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -79,33 +64,21 @@ namespace eco::sat {
 
 class Solver;
 
-/// The --par-sat flag: off | on (deterministic) | racy.
+/// The --par-sat flag: off | on (the deterministic portfolio).
 enum class ParMode : uint8_t {
   kOff = 0,
   kDeterministic,  ///< fixed tie-break winner, reproducible for any --jobs
-  kRacy,           ///< first finisher wins, clause sharing, wall trigger
 };
 const char* par_mode_name(ParMode m) noexcept;
 
-/// Escalation strategy. kAuto currently resolves to the portfolio (safe for
-/// both SAT and UNSAT outcomes); cube-and-conquer is opt-in per workload.
-enum class ParStrategy : uint8_t {
-  kAuto = 0,
-  kPortfolio,
-  kCube,
-};
-const char* par_strategy_name(ParStrategy s) noexcept;
-
 /// Tuning knobs for the parallel layer. Process-wide, like SolverOptions:
-/// `defaults()` is env-seeded on first use (`ECO_PAR_SAT=off|on|racy`,
-/// `ECO_PAR_SAT_STRATEGY=auto|portfolio|cube`, `ECO_PAR_SAT_CLONES`,
-/// `ECO_PAR_SAT_TRIGGER`, `ECO_PAR_SAT_CUBE_VARS`) and replaceable via
+/// `defaults()` is env-seeded on first use (`ECO_PAR_SAT=off|on`,
+/// `ECO_PAR_SAT_CLONES`, `ECO_PAR_SAT_TRIGGER`) and replaceable via
 /// `set_defaults` (bench/CLI `--par-sat`).
 struct ParSolveOptions {
   ParMode mode = ParMode::kOff;
-  ParStrategy strategy = ParStrategy::kAuto;
 
-  /// Portfolio width / cube worker fan-out (clamped to [2, 32]).
+  /// Portfolio width (clamped to [2, 32]).
   int clones = 4;
 
   /// Conflicts inside one solve before it escalates. <= 0 escalates at the
@@ -116,21 +89,6 @@ struct ParSolveOptions {
   /// escalating solves that would finish anyway only burns speculative CPU.
   int64_t trigger_conflicts = 100000;
 
-  /// Racy mode only: also escalate once a solve has run this long
-  /// (seconds; <= 0 disables the wall trigger).
-  double trigger_wall_seconds = 0;
-
-  /// Cube-and-conquer splits on 2^cube_vars branches (clamped to [1, 6]).
-  int cube_vars = 3;
-
-  /// Racy clause exchange: share learnt clauses with LBD <= this cut
-  /// (and <= 8 literals). 0 disables sharing. Deterministic mode never
-  /// shares (imports would make worker slice outcomes timing-dependent).
-  uint32_t share_lbd_cut = 2;
-
-  /// Total clauses the per-escalation exchange accepts (bounded memory).
-  size_t exchange_capacity = 256;
-
   /// Base seed for clone diversification (decorrelated per rank).
   uint64_t seed = 0x9e3779b97f4a7c15ULL;
 
@@ -138,8 +96,8 @@ struct ParSolveOptions {
   static void set_defaults(const ParSolveOptions& opts) noexcept;
 };
 
-/// Parses a --par-sat flag value ("off" | "on" | "racy"). Returns false
-/// (and leaves \p out untouched) on anything else.
+/// Parses a --par-sat flag value ("off" | "on"). Returns false (and leaves
+/// \p out untouched) on anything else.
 bool parse_par_mode(std::string_view text, ParMode& out) noexcept;
 
 /// Registers the executor escalations run on (nullptr unregisters). The
@@ -150,7 +108,7 @@ void set_par_executor(util::Executor* executor) noexcept;
 util::Executor* par_executor() noexcept;
 
 /// Called by Solver::solve_impl at restart boundaries. Returns nullopt to
-/// continue the serial search (not triggered, disabled, saturated, or the
+/// continue the serial search (not triggered, disabled, declined, or the
 /// never-worse resume after an inconclusive race); otherwise the escalated
 /// verdict, with model_/core_ already installed on \p solver.
 std::optional<LBool> maybe_escalate_par(Solver& solver);

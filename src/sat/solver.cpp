@@ -12,6 +12,7 @@
 #include "util/faultpoint.hpp"
 #include "util/ledger.hpp"
 #include "util/telemetry.hpp"
+#include "util/timer.hpp"
 
 namespace eco::sat {
 
@@ -142,9 +143,7 @@ Solver::~Solver() {
   t.learnts_local = stats_.learnts_local;
   t.par_escalations = stats_.par_escalations;
   t.par_portfolio = stats_.par_portfolio;
-  t.par_cube = stats_.par_cube;
   t.par_wins = stats_.par_wins;
-  t.par_clauses_imported = stats_.par_clauses_imported;
   telemetry::add_solver_totals(t);
 }
 
@@ -569,13 +568,6 @@ void Solver::admit_learnt(CRef ref, uint32_t lbd) {
   auto c = clause(ref);
   c.lbd() = lbd;
   c.touched() = static_cast<uint32_t>(stats_.conflicts);
-  // Clause exchange export (racy parallel mode only; export_lbd_cut_ == 0
-  // otherwise). Short low-LBD learnts are worth shipping to sibling clones.
-  if (export_lbd_cut_ != 0 && lbd <= export_lbd_cut_ && c.size() <= 8 &&
-      export_pending_.size() < export_max_) {
-    const auto lits = c.lits();
-    export_pending_.emplace_back(lits.begin(), lits.end());
-  }
   uint32_t tier;
   // Size-2 learnts always join core: a binary reason may have its implied
   // literal at index 1 (lazy normalization), so the locked-clause check in
@@ -757,8 +749,6 @@ LBool Solver::search(int64_t conflicts_before_restart) {
       cancel_until(bt_level);
       if (learnt.size() == 1) {
         unchecked_enqueue(learnt[0]);
-        if (export_lbd_cut_ != 0 && export_pending_.size() < export_max_)
-          export_pending_.push_back(LitVec{learnt[0]});
       } else {
         const CRef ref = alloc_clause(learnt, /*learnt=*/true);
         admit_learnt(ref, lbd);
@@ -893,7 +883,6 @@ LBool Solver::solve_impl(std::span<const Lit> assumptions) {
   par_attempted_ = false;
   par_failed_rounds_ = 0;
   par_retry_at_ = 0;
-  solve_timer_.reset();
   if (!ok_) return kFalse;
   // Fault site: pretend the budget was exhausted before any search ran.
   if (ECO_FAULT_POINT(fault::Site::kSatBudget)) return kUndef;
@@ -926,16 +915,6 @@ LBool Solver::solve_impl(std::span<const Lit> assumptions) {
 
   LBool status = kUndef;
   for (int restarts = 0; status.is_undef(); ++restarts) {
-    if (restarts > 0 && restart_hook_ != nullptr) {
-      // Clause publish/import point for parallel worker clones. Imports go
-      // through add_clause, which may discover top-level UNSAT.
-      restart_hook_(restart_hook_ctx_, *this);
-      if (!ok_) {
-        core_.clear();
-        status = kFalse;
-        break;
-      }
-    }
     if (par_allowed_ && !par_attempted_) {
       // Hand a long-running solve to the parallel layer (no-op unless it is
       // enabled, an executor is registered, and the trigger was crossed).

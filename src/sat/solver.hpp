@@ -53,7 +53,6 @@
 
 #include "sat/types.hpp"
 #include "util/cancel.hpp"
-#include "util/timer.hpp"
 
 namespace eco::sat {
 
@@ -146,11 +145,9 @@ struct SolverStats {
   uint64_t learnts_local = 0;
   // Intra-query parallel SAT (sat/parsolve.hpp). Counted on the solver whose
   // solve escalated; the worker clones' search stats stay on the clones.
-  uint64_t par_escalations = 0;       ///< solves that crossed the trigger
-  uint64_t par_portfolio = 0;         ///< escalations run as a portfolio race
-  uint64_t par_cube = 0;              ///< escalations run as a cube split
-  uint64_t par_wins = 0;              ///< escalations that returned definitive
-  uint64_t par_clauses_imported = 0;  ///< clauses imported via the exchange
+  uint64_t par_escalations = 0;  ///< solves that crossed the trigger
+  uint64_t par_portfolio = 0;    ///< escalations run as a portfolio race
+  uint64_t par_wins = 0;         ///< escalations that returned definitive
 };
 
 /// CDCL SAT solver.
@@ -496,16 +493,6 @@ class Solver {
   int par_failed_rounds_ = 0;   ///< inconclusive races this solve (slice growth)
   int64_t par_retry_at_ = 0;    ///< conflicts_since_start gate for the next race
   int64_t par_trigger_override_ = 0;  ///< 0 = ParSolveOptions default, < 0 = off
-  /// Learnt-clause export for the racy clause exchange (0 = off). Filled by
-  /// admit_learnt and unit learnts, drained by the clone's restart hook.
-  uint32_t export_lbd_cut_ = 0;
-  uint32_t export_max_ = 0;
-  std::vector<LitVec> export_pending_;
-  /// Invoked at every restart boundary of solve_impl (the clause
-  /// publish/import point for worker clones; may add clauses).
-  void (*restart_hook_)(void*, Solver&) = nullptr;
-  void* restart_hook_ctx_ = nullptr;
-  Timer solve_timer_;  ///< restarted per solve (racy wall-clock trigger)
 
   SolverStats stats_;
 };

@@ -1,6 +1,7 @@
 #include "util/executor.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 
@@ -40,38 +41,8 @@ Executor::~Executor() {
   for (auto& w : workers_) w.join();
 }
 
-/// Marks the calling thread busy for the duration of one task execution or
-/// one parallel_for participation. Exception-safe: the slot is returned even
-/// when the task throws.
-struct Executor::BusyScope {
-  explicit BusyScope(Executor& ex) noexcept : ex_(ex) {
-    ex_.busy_.fetch_add(1, std::memory_order_relaxed);
-  }
-  ~BusyScope() { ex_.busy_.fetch_sub(1, std::memory_order_relaxed); }
-  BusyScope(const BusyScope&) = delete;
-  BusyScope& operator=(const BusyScope&) = delete;
-  Executor& ex_;
-};
-
-int Executor::try_reserve(int n) noexcept {
-  if (n <= 0) return 0;
-  int cur = busy_.load(std::memory_order_relaxed);
-  for (;;) {
-    const int avail = jobs_ - cur;
-    if (avail <= 0) return 0;
-    const int grant = std::min(n, avail);
-    if (busy_.compare_exchange_weak(cur, cur + grant, std::memory_order_relaxed))
-      return grant;
-  }
-}
-
-void Executor::release(int n) noexcept {
-  if (n > 0) busy_.fetch_sub(n, std::memory_order_relaxed);
-}
-
 void Executor::enqueue(std::function<void()> task) {
   if (workers_.empty()) {
-    BusyScope busy(*this);
     task();  // serial mode: run inline, exceptions flow into the future
     return;
   }
@@ -93,7 +64,6 @@ bool Executor::run_one_queued() {
       queue_head_ = 0;
     }
   }
-  BusyScope busy(*this);
   task();
   return true;
 }
@@ -111,7 +81,6 @@ void Executor::worker_loop() {
         queue_head_ = 0;
       }
     }
-    BusyScope busy(*this);
     task();
   }
 }
@@ -166,7 +135,6 @@ struct Executor::ForState {
 void Executor::parallel_for(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
   if (workers_.empty() || n == 1) {
-    BusyScope busy(*this);
     for (size_t i = 0; i < n; ++i) fn(i);  // exact serial execution
     return;
   }
@@ -184,10 +152,7 @@ void Executor::parallel_for(size_t n, const std::function<void(size_t)>& fn) {
   // The caller participates — this is what makes nested parallel_for calls
   // deadlock-free: even with every worker busy, the caller finishes the
   // range itself.
-  {
-    BusyScope busy(*this);
-    state->drain();
-  }
+  state->drain();
 
   std::unique_lock<std::mutex> lock(state->mu);
   state->cv.wait(lock, [&] { return state->settled(); });

@@ -29,7 +29,6 @@
 /// library behaviour stays deterministic unless a front end asks otherwise.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -79,26 +78,6 @@ class Executor {
   /// observe the token and return early).
   void request_stop() noexcept { shutdown_token_.request_stop(); }
 
-  // ---- Slot accounting (nested intra-task parallelism) -------------------
-  // The pool has jobs() logical slots: jobs() - 1 workers plus the
-  // participating caller of parallel_for. A task that wants to fan out
-  // *within* itself (the parallel SAT layer, sat/parsolve.hpp) asks for
-  // extra slots first; when the sweep already owns the pool the grant is 0
-  // and the task stays serial instead of oversubscribing the machine.
-
-  /// Slots currently busy: tasks executing on workers or the caller,
-  /// parallel_for participants, and outstanding reservations. A thread
-  /// helping from inside a task counts twice (conservative on purpose).
-  int busy() const noexcept { return busy_.load(std::memory_order_relaxed); }
-
-  /// Best-effort reservation: grants min(n, jobs() - busy()) slots (possibly
-  /// 0, never negative) and returns the granted count. Pair every positive
-  /// grant with release(grant).
-  int try_reserve(int n) noexcept;
-
-  /// Returns \p n slots from a previous try_reserve grant.
-  void release(int n) noexcept;
-
   /// Schedules \p fn on the pool and returns its future. In serial mode the
   /// task runs inline before submit returns (its exception, if any, is
   /// delivered through the future either way).
@@ -142,7 +121,6 @@ class Executor {
 
  private:
   struct ForState;
-  struct BusyScope;
 
   void enqueue(std::function<void()> task);
   void worker_loop();
@@ -155,7 +133,6 @@ class Executor {
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
-  std::atomic<int> busy_{0};  ///< executing tasks + participants + reservations
 };
 
 }  // namespace eco::util

@@ -139,7 +139,6 @@ const char* kind_name(Kind k) noexcept {
     case Kind::kCecCheck: return "cec_check";
     case Kind::kLadderAttempt: return "ladder_attempt";
     case Kind::kPortfolioAttempt: return "portfolio_attempt";
-    case Kind::kCubeSolve: return "cube_solve";
     case Kind::kSweepChunk: return "sweep_chunk";
     case Kind::kCount_: break;
   }
@@ -417,11 +416,10 @@ void write_record(JsonWriter& w, const Record& r) {
   w.kv("wall_seconds", r.wall_seconds);
   w.kv("cpu_seconds", r.cpu_seconds);
   w.kv("cancel", cancel_cause_name(r.cancel));
-  if (r.kind == Kind::kPortfolioAttempt || r.kind == Kind::kCubeSolve) {
+  if (r.kind == Kind::kPortfolioAttempt) {
     // Schema-additive: readers treat missing keys as 0/false.
     w.kv("par_rank", static_cast<uint64_t>(r.par_rank));
     w.kv("par_winner", r.par_winner != 0);
-    w.kv("par_imported", static_cast<uint64_t>(r.par_imported));
   }
   w.kv("phase", std::string_view(r.phase));
   w.kv("thread", r.thread);

@@ -76,10 +76,8 @@ enum class Kind : uint8_t {
   kCecCheck,       ///< one cec::check_const0 top-level check
   kLadderAttempt,     ///< one engine attempt (primary or escalation rung)
   kPortfolioAttempt,  ///< one diversified clone raced by sat/parsolve
-  kCubeSolve,         ///< one cube sub-instance solved by sat/parsolve
   kSweepChunk,        ///< one SAT-sweeping prove chunk (cec/sweep.cpp):
                       ///< whole-chunk solver totals; vars = classes proved.
-                      ///< The cost signal behind adaptive chunk sizing.
   kCount_,
 };
 const char* kind_name(Kind k) noexcept;
@@ -119,10 +117,9 @@ struct Record {
   QueryResult result = QueryResult::kUndef;
   uint8_t sim_hit = 0;  ///< answered by the simulation bank, no SAT search
   CancelCause cancel = CancelCause::kNone;
-  // Parallel SAT (kind kPortfolioAttempt / kCubeSolve; zero otherwise).
-  uint32_t par_imported = 0;  ///< learnt clauses imported from siblings
-  uint16_t par_rank = 0;      ///< clone rank or cube id within the escalation
-  uint8_t par_winner = 0;     ///< 1 when this worker's result was adopted
+  // Parallel SAT (kind kPortfolioAttempt; zero otherwise).
+  uint16_t par_rank = 0;   ///< clone rank within the escalation
+  uint8_t par_winner = 0;  ///< 1 when this worker's result was adopted
   /// Telemetry phase path at append time ('/'-joined, truncated). Empty
   /// when telemetry recording is off.
   char phase[33] = {};

@@ -63,15 +63,10 @@ bool initial_enabled() noexcept {
 
 std::atomic<bool> g_enabled{initial_enabled()};
 
-// Always-on solver totals (atomic; see header).
-struct AtomicSolverTotals {
-  std::atomic<uint64_t> solvers{0}, solves{0}, decisions{0}, propagations{0}, conflicts{0},
-      restarts{0}, learnt_literals{0}, db_reductions{0}, prefix_reused_levels{0},
-      propagations_saved{0}, restarts_blocked{0}, learnts_core{0}, learnts_tier2{0},
-      learnts_local{0}, par_escalations{0}, par_portfolio{0}, par_cube{0}, par_wins{0},
-      par_clauses_imported{0};
-};
-AtomicSolverTotals g_solver;
+// Always-on process-lifetime solver totals (see header). Constant-initialized
+// and trivially destructible, so Solver destructors that run during static
+// initialization or teardown can still credit it.
+constinit SolverTotalsAccumulator g_solver;
 
 /// Per-thread phase state: the '/'-joined path of the open frames.
 thread_local std::string t_phase_path;
@@ -209,9 +204,7 @@ void SolverTotalsAccumulator::add(const SolverTotals& t) noexcept {
   learnts_local_.fetch_add(t.learnts_local, std::memory_order_relaxed);
   par_escalations_.fetch_add(t.par_escalations, std::memory_order_relaxed);
   par_portfolio_.fetch_add(t.par_portfolio, std::memory_order_relaxed);
-  par_cube_.fetch_add(t.par_cube, std::memory_order_relaxed);
   par_wins_.fetch_add(t.par_wins, std::memory_order_relaxed);
-  par_clauses_imported_.fetch_add(t.par_clauses_imported, std::memory_order_relaxed);
 }
 
 SolverTotals SolverTotalsAccumulator::totals() const noexcept {
@@ -232,9 +225,7 @@ SolverTotals SolverTotalsAccumulator::totals() const noexcept {
   t.learnts_local = learnts_local_.load(std::memory_order_relaxed);
   t.par_escalations = par_escalations_.load(std::memory_order_relaxed);
   t.par_portfolio = par_portfolio_.load(std::memory_order_relaxed);
-  t.par_cube = par_cube_.load(std::memory_order_relaxed);
   t.par_wins = par_wins_.load(std::memory_order_relaxed);
-  t.par_clauses_imported = par_clauses_imported_.load(std::memory_order_relaxed);
   return t;
 }
 
@@ -253,50 +244,10 @@ void add_solver_totals(const SolverTotals& t) noexcept {
   // stealing), that task's own capture must not leak into the captures the
   // thread had open underneath it.
   if (!t_solver_captures.empty()) t_solver_captures.back()->add(t);
-  g_solver.solvers.fetch_add(t.solvers, std::memory_order_relaxed);
-  g_solver.solves.fetch_add(t.solves, std::memory_order_relaxed);
-  g_solver.decisions.fetch_add(t.decisions, std::memory_order_relaxed);
-  g_solver.propagations.fetch_add(t.propagations, std::memory_order_relaxed);
-  g_solver.conflicts.fetch_add(t.conflicts, std::memory_order_relaxed);
-  g_solver.restarts.fetch_add(t.restarts, std::memory_order_relaxed);
-  g_solver.learnt_literals.fetch_add(t.learnt_literals, std::memory_order_relaxed);
-  g_solver.db_reductions.fetch_add(t.db_reductions, std::memory_order_relaxed);
-  g_solver.prefix_reused_levels.fetch_add(t.prefix_reused_levels, std::memory_order_relaxed);
-  g_solver.propagations_saved.fetch_add(t.propagations_saved, std::memory_order_relaxed);
-  g_solver.restarts_blocked.fetch_add(t.restarts_blocked, std::memory_order_relaxed);
-  g_solver.learnts_core.fetch_add(t.learnts_core, std::memory_order_relaxed);
-  g_solver.learnts_tier2.fetch_add(t.learnts_tier2, std::memory_order_relaxed);
-  g_solver.learnts_local.fetch_add(t.learnts_local, std::memory_order_relaxed);
-  g_solver.par_escalations.fetch_add(t.par_escalations, std::memory_order_relaxed);
-  g_solver.par_portfolio.fetch_add(t.par_portfolio, std::memory_order_relaxed);
-  g_solver.par_cube.fetch_add(t.par_cube, std::memory_order_relaxed);
-  g_solver.par_wins.fetch_add(t.par_wins, std::memory_order_relaxed);
-  g_solver.par_clauses_imported.fetch_add(t.par_clauses_imported, std::memory_order_relaxed);
+  g_solver.add(t);
 }
 
-SolverTotals solver_totals() noexcept {
-  SolverTotals t;
-  t.solvers = g_solver.solvers.load(std::memory_order_relaxed);
-  t.solves = g_solver.solves.load(std::memory_order_relaxed);
-  t.decisions = g_solver.decisions.load(std::memory_order_relaxed);
-  t.propagations = g_solver.propagations.load(std::memory_order_relaxed);
-  t.conflicts = g_solver.conflicts.load(std::memory_order_relaxed);
-  t.restarts = g_solver.restarts.load(std::memory_order_relaxed);
-  t.learnt_literals = g_solver.learnt_literals.load(std::memory_order_relaxed);
-  t.db_reductions = g_solver.db_reductions.load(std::memory_order_relaxed);
-  t.prefix_reused_levels = g_solver.prefix_reused_levels.load(std::memory_order_relaxed);
-  t.propagations_saved = g_solver.propagations_saved.load(std::memory_order_relaxed);
-  t.restarts_blocked = g_solver.restarts_blocked.load(std::memory_order_relaxed);
-  t.learnts_core = g_solver.learnts_core.load(std::memory_order_relaxed);
-  t.learnts_tier2 = g_solver.learnts_tier2.load(std::memory_order_relaxed);
-  t.learnts_local = g_solver.learnts_local.load(std::memory_order_relaxed);
-  t.par_escalations = g_solver.par_escalations.load(std::memory_order_relaxed);
-  t.par_portfolio = g_solver.par_portfolio.load(std::memory_order_relaxed);
-  t.par_cube = g_solver.par_cube.load(std::memory_order_relaxed);
-  t.par_wins = g_solver.par_wins.load(std::memory_order_relaxed);
-  t.par_clauses_imported = g_solver.par_clauses_imported.load(std::memory_order_relaxed);
-  return t;
-}
+SolverTotals solver_totals() noexcept { return g_solver.totals(); }
 
 SolverTotalsAccumulator* current_solver_capture() noexcept {
   return t_solver_captures.empty() ? nullptr : t_solver_captures.back();
@@ -396,9 +347,7 @@ std::string snapshot_json() {
   w.kv("learnts_local", s.solver.learnts_local);
   w.kv("par_escalations", s.solver.par_escalations);
   w.kv("par_portfolio", s.solver.par_portfolio);
-  w.kv("par_cube", s.solver.par_cube);
   w.kv("par_wins", s.solver.par_wins);
-  w.kv("par_clauses_imported", s.solver.par_clauses_imported);
   w.end_object();
   w.kv("trace_events", static_cast<uint64_t>(s.trace_events));
   w.kv("dropped_trace_events", static_cast<uint64_t>(s.dropped_trace_events));

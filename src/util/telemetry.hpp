@@ -108,11 +108,9 @@ struct SolverTotals {
   uint64_t learnts_tier2 = 0;
   uint64_t learnts_local = 0;
   // Intra-query parallel SAT (sat/parsolve.hpp).
-  uint64_t par_escalations = 0;       ///< solves that crossed the trigger
-  uint64_t par_portfolio = 0;         ///< escalations resolved by portfolio
-  uint64_t par_cube = 0;              ///< escalations resolved by cube split
-  uint64_t par_wins = 0;              ///< escalations that returned definitive
-  uint64_t par_clauses_imported = 0;  ///< learnt clauses imported via exchange
+  uint64_t par_escalations = 0;  ///< solves that crossed the trigger
+  uint64_t par_portfolio = 0;    ///< escalations resolved by portfolio
+  uint64_t par_wins = 0;         ///< escalations that returned definitive
 };
 
 /// Called by sat::Solver's destructor; cheap unconditional atomic adds.
@@ -143,8 +141,7 @@ class SolverTotalsAccumulator {
       conflicts_{0}, restarts_{0}, learnt_literals_{0}, db_reductions_{0},
       prefix_reused_levels_{0}, propagations_saved_{0}, restarts_blocked_{0},
       learnts_core_{0}, learnts_tier2_{0}, learnts_local_{0},
-      par_escalations_{0}, par_portfolio_{0}, par_cube_{0}, par_wins_{0},
-      par_clauses_imported_{0};
+      par_escalations_{0}, par_portfolio_{0}, par_wins_{0};
 };
 
 /// The accumulator of the innermost open ScopedSolverCapture on the calling

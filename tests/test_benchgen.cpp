@@ -150,8 +150,9 @@ TEST(Mutate, SpecInternalNamesAreRenamed) {
   std::unordered_set<std::string> io(inst.spec.inputs.begin(), inst.spec.inputs.end());
   io.insert(inst.spec.outputs.begin(), inst.spec.outputs.end());
   for (const auto& g : inst.spec.gates)
-    if (!io.count(g.output))
+    if (!io.count(g.output)) {
       EXPECT_EQ(g.output.rfind("sp_", 0), 0u) << "unrenamed internal: " << g.output;
+    }
 }
 
 TEST(Mutate, ThrowsWhenTooManyTargets) {

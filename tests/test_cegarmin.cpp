@@ -74,7 +74,9 @@ TEST(CegarMin, RebuiltPatchIsFunctionallyCorrect) {
     const bool a = mm & 1, b = mm & 2, c = mm & 4, d = mm & 8;
     const std::vector<bool> in = {a, b, c, d, false};
     const bool value = aig::eval(work, in).back();
-    if (!d) EXPECT_EQ(value, (a && b) != c) << "minterm " << mm;
+    if (!d) {
+      EXPECT_EQ(value, (a && b) != c) << "minterm " << mm;
+    }
   }
 }
 

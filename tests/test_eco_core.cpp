@@ -314,7 +314,9 @@ TEST(Structural, SingleTargetCofactorPatch) {
   for (uint32_t mm = 0; mm < 8; ++mm) {
     const bool a = mm & 1, b = mm & 2, c = mm & 4;
     const bool patch = aig::eval(sp.patch, {a, b, c})[0];
-    if (!c) EXPECT_EQ(patch, a && b) << "minterm " << mm;
+    if (!c) {
+      EXPECT_EQ(patch, a && b) << "minterm " << mm;
+    }
   }
 }
 

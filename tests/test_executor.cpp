@@ -150,58 +150,6 @@ TEST(Executor, ManySubmittedTasksAllComplete) {
   EXPECT_EQ(sum, 200u * 199u / 2u);
 }
 
-TEST(Executor, TryReserveGrantsUpToIdleSlots) {
-  Executor ex(4);
-  EXPECT_EQ(ex.busy(), 0);
-  // Idle pool: a request within capacity is granted in full.
-  EXPECT_EQ(ex.try_reserve(3), 3);
-  EXPECT_EQ(ex.busy(), 3);
-  // Only one slot left; an oversized request is clipped, never negative.
-  EXPECT_EQ(ex.try_reserve(5), 1);
-  EXPECT_EQ(ex.busy(), 4);
-  EXPECT_EQ(ex.try_reserve(1), 0);
-  ex.release(1);
-  EXPECT_EQ(ex.busy(), 3);
-  EXPECT_EQ(ex.try_reserve(2), 1);
-  ex.release(4);
-  EXPECT_EQ(ex.busy(), 0);
-  // Degenerate requests are no-ops.
-  EXPECT_EQ(ex.try_reserve(0), 0);
-  EXPECT_EQ(ex.try_reserve(-3), 0);
-}
-
-TEST(Executor, TryReserveSeesParallelForOccupancy) {
-  // From inside a saturated parallel_for every slot is accounted busy, so a
-  // nested reservation — the racy par-sat admission check — is denied
-  // rather than oversubscribing the machine.
-  Executor ex(3);
-  std::atomic<int> denied{0};
-  std::atomic<int> peak_busy{0};
-  ex.parallel_for(24, [&](size_t) {
-    int b = ex.busy();
-    int prev = peak_busy.load();
-    while (b > prev && !peak_busy.compare_exchange_weak(prev, b)) {
-    }
-    if (ex.try_reserve(1) == 0) denied.fetch_add(1);
-    else ex.release(1);
-  });
-  // At least one iteration ran while all slots (workers + caller) were busy.
-  EXPECT_GE(peak_busy.load(), 1);
-  EXPECT_LE(peak_busy.load(), 3);
-  EXPECT_EQ(ex.busy(), 0);
-  (void)denied;  // how many denials occur is schedule-dependent
-}
-
-TEST(Executor, SerialExecutorNeverGrantsReservations) {
-  // jobs() == 1 has no spare capacity while the caller itself runs; the
-  // parallel layer must degrade to pure serial solving.
-  Executor ex(1);
-  ex.parallel_for(4, [&](size_t) { EXPECT_EQ(ex.try_reserve(2), 0); });
-  // Idle, the single slot is reservable.
-  EXPECT_EQ(ex.try_reserve(2), 1);
-  ex.release(1);
-}
-
 TEST(Executor, ZeroAndOneIterationEdges) {
   Executor ex(4);
   ex.parallel_for(0, [&](size_t) { FAIL() << "no iterations expected"; });

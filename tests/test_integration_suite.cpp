@@ -42,7 +42,9 @@ TEST_P(SuiteIntegration, AllConfigurationsPatchAndVerify) {
       support_names.insert(t.support.begin(), t.support.end());
     EXPECT_EQ(outcome.patch_module.num_pis(), support_names.size());
     if (algorithm == Algorithm::kBaseline) baseline_cost = outcome.total_cost;
-    if (algorithm == Algorithm::kMinimize) EXPECT_LE(outcome.total_cost, baseline_cost);
+    if (algorithm == Algorithm::kMinimize) {
+      EXPECT_LE(outcome.total_cost, baseline_cost);
+    }
   }
 }
 

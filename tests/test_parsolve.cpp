@@ -6,14 +6,19 @@
 // boundary (trigger 0). Verdicts must match exactly; SAT models must
 // satisfy the instance; UNSAT cores must be sound subsets of the
 // assumptions (re-solving the oracle under just the core stays UNSAT).
-// Deterministic mode is additionally checked for run-to-run identical
-// models. The racy hammer drives first-winner cancellation with 8 clones
-// over many iterations and reads solver stats back after every solve — a
-// use-after-free or publication race here is caught by the TSan CI job.
+// The portfolio is additionally checked for run-to-run identical models,
+// and for identical answers when every pool worker is busy (the coordinator
+// then solves every rank itself). The hammer drives winner cancellation
+// with 8 clones over many iterations and reads solver stats back after
+// every solve — a use-after-free or publication race here is caught by the
+// TSan CI job.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <future>
+#include <thread>
 #include <vector>
 
 #include "sat/parsolve.hpp"
@@ -35,10 +40,9 @@ struct ParGuard {
 };
 
 /// Forced-escalation configuration: every solve fans out immediately.
-ParSolveOptions forced(ParMode mode, ParStrategy strategy, int clones = 4) {
+ParSolveOptions forced(int clones = 4) {
   ParSolveOptions o;
-  o.mode = mode;
-  o.strategy = strategy;
+  o.mode = ParMode::kDeterministic;
   o.clones = clones;
   o.trigger_conflicts = 0;  // escalate at the first restart boundary
   return o;
@@ -140,19 +144,17 @@ TEST(ParSolveOptionsTest, ParseParMode) {
   ParMode m = ParMode::kOff;
   EXPECT_TRUE(parse_par_mode("on", m));
   EXPECT_EQ(m, ParMode::kDeterministic);
-  EXPECT_TRUE(parse_par_mode("racy", m));
-  EXPECT_EQ(m, ParMode::kRacy);
   EXPECT_TRUE(parse_par_mode("off", m));
   EXPECT_EQ(m, ParMode::kOff);
-  m = ParMode::kRacy;
+  m = ParMode::kDeterministic;
   EXPECT_FALSE(parse_par_mode("sideways", m));
-  EXPECT_EQ(m, ParMode::kRacy);  // untouched on failure
+  EXPECT_EQ(m, ParMode::kDeterministic);  // untouched on failure
   EXPECT_FALSE(parse_par_mode("", m));
 }
 
 TEST(ParSolveTest, InertWithoutExecutor) {
   ParGuard guard;
-  ParSolveOptions::set_defaults(forced(ParMode::kDeterministic, ParStrategy::kPortfolio));
+  ParSolveOptions::set_defaults(forced());
   // No executor registered: the layer must stay out of the way entirely.
   set_par_executor(nullptr);
   Solver s;
@@ -164,7 +166,7 @@ TEST(ParSolveTest, InertWithoutExecutor) {
 
 TEST(ParSolveTest, PortfolioEscalatesAndWins) {
   ParGuard guard;
-  ParSolveOptions::set_defaults(forced(ParMode::kDeterministic, ParStrategy::kPortfolio));
+  ParSolveOptions::set_defaults(forced());
   util::Executor ex(4);
   set_par_executor(&ex);
   Solver s;
@@ -174,44 +176,21 @@ TEST(ParSolveTest, PortfolioEscalatesAndWins) {
   EXPECT_FALSE(verdict.is_undef());
   EXPECT_EQ(s.stats().par_escalations, 1u);
   EXPECT_EQ(s.stats().par_portfolio, 1u);
-  EXPECT_EQ(s.stats().par_cube, 0u);
   EXPECT_EQ(s.stats().par_wins, 1u);
 }
 
 TEST(ParSolveTest, PortfolioDifferentialMatchesSerialOracle) {
   ParGuard guard;
-  ParSolveOptions::set_defaults(forced(ParMode::kDeterministic, ParStrategy::kPortfolio));
+  ParSolveOptions::set_defaults(forced());
   util::Executor ex(4);
   set_par_executor(&ex);
   for (uint64_t q = 0; q < 2000 && !HasFatalFailure(); ++q)
     differential_query(0x9000 + q);
 }
 
-TEST(ParSolveTest, CubeDifferentialMatchesSerialOracle) {
-  ParGuard guard;
-  ParSolveOptions o = forced(ParMode::kDeterministic, ParStrategy::kCube);
-  o.cube_vars = 2;  // 4 branches
-  ParSolveOptions::set_defaults(o);
-  util::Executor ex(4);
-  set_par_executor(&ex);
-  for (uint64_t q = 0; q < 2000 && !HasFatalFailure(); ++q)
-    differential_query(0xC000000 + q);
-}
-
-TEST(ParSolveTest, RacyDifferentialMatchesSerialOracle) {
-  // Racy mode gives up reproducibility, never correctness: verdicts, models
-  // and cores are held to the same oracle as deterministic mode.
-  ParGuard guard;
-  ParSolveOptions::set_defaults(forced(ParMode::kRacy, ParStrategy::kPortfolio));
-  util::Executor ex(4);
-  set_par_executor(&ex);
-  for (uint64_t q = 0; q < 1000 && !HasFatalFailure(); ++q)
-    differential_query(0xACE0000 + q);
-}
-
 TEST(ParSolveTest, DeterministicModeIsRunToRunIdentical) {
   ParGuard guard;
-  ParSolveOptions::set_defaults(forced(ParMode::kDeterministic, ParStrategy::kPortfolio));
+  ParSolveOptions::set_defaults(forced());
   util::Executor ex(4);
   set_par_executor(&ex);
   for (uint64_t q = 0; q < 300; ++q) {
@@ -233,12 +212,13 @@ TEST(ParSolveTest, DeterministicModeIsRunToRunIdentical) {
   }
 }
 
-TEST(ParSolveTest, RacyFirstWinnerCancellationHammer) {
-  // 8 clones x 1000 iterations of first-winner cancellation, with solver
+TEST(ParSolveTest, WinnerCancellationHammer) {
+  // 8 clones x 1000 iterations of winner-cancels-siblings, with solver
   // stats read back after every solve. Any use-after-free on the clone
-  // results or a racy publication shows up under the TSan CI job.
+  // results or an unsynchronized publication shows up under the TSan CI
+  // job.
   ParGuard guard;
-  ParSolveOptions::set_defaults(forced(ParMode::kRacy, ParStrategy::kPortfolio, 8));
+  ParSolveOptions::set_defaults(forced(8));
   util::Executor ex(8);
   set_par_executor(&ex);
   uint64_t sat = 0, unsat = 0, escalations = 0, wins = 0;
@@ -265,28 +245,61 @@ TEST(ParSolveTest, RacyFirstWinnerCancellationHammer) {
   EXPECT_GT(wins, 0u);
 }
 
-TEST(ParSolveTest, RacyDegradesToSerialWhenPoolSaturated) {
+TEST(ParSolveTest, SaturatedPoolMatchesIdlePool) {
+  // The pool-occupancy half of the determinism contract: with every worker
+  // parked, the race's helper tasks only queue and the coordinator claims
+  // every rank itself — slower, never different.
   ParGuard guard;
-  ParSolveOptions::set_defaults(forced(ParMode::kRacy, ParStrategy::kPortfolio));
-  util::Executor ex(2);
+  ParSolveOptions::set_defaults(forced());
+  std::atomic<int> parked{0};
+  util::Executor ex(4);
   set_par_executor(&ex);
-  // Every slot reserved: racy admission is denied, the solve runs serially
-  // and the verdict is unaffected.
-  ASSERT_EQ(ex.try_reserve(2), 2);
-  const Instance ins = make_instance(99);
-  Solver oracle;
-  oracle.set_par_escalation(false);
-  load(oracle, ins);
-  Solver s;
-  load(s, ins);
-  EXPECT_EQ(oracle.solve(ins.assumptions).raw(), s.solve(ins.assumptions).raw());
-  EXPECT_EQ(s.stats().par_escalations, 0u);
-  ex.release(2);
+  struct Answers {
+    std::vector<uint8_t> verdicts;
+    std::vector<std::vector<bool>> models;
+    uint64_t escalations = 0;
+  };
+  auto solve_all = [] {
+    Answers out;
+    for (uint64_t q = 0; q < 50; ++q) {
+      const Instance ins = make_instance(0x5A7 + q);
+      Solver s;
+      load(s, ins);
+      const LBool verdict = s.solve(ins.assumptions);
+      out.verdicts.push_back(verdict.raw());
+      out.escalations += s.stats().par_escalations;
+      std::vector<bool>& model = out.models.emplace_back();
+      if (verdict.is_true())
+        for (int v = 0; v < ins.num_vars; ++v)
+          model.push_back(s.model_value(static_cast<Var>(v)));
+    }
+    return out;
+  };
+  const Answers idle = solve_all();
+
+  // Declared after the executor, so an early test exit destroys the promise
+  // first: the broken promise releases the parked workers before the
+  // executor joins them.
+  std::promise<void> release;
+  const std::shared_future<void> gate = release.get_future().share();
+  for (int w = 1; w < ex.jobs(); ++w)
+    ex.submit([&parked, gate] {
+      parked.fetch_add(1);
+      gate.wait();
+    });
+  while (parked.load() < ex.jobs() - 1) std::this_thread::yield();
+  const Answers busy = solve_all();
+  release.set_value();
+
+  EXPECT_EQ(idle.verdicts, busy.verdicts);
+  EXPECT_EQ(idle.models, busy.models);
+  EXPECT_EQ(idle.escalations, busy.escalations);
+  EXPECT_GT(busy.escalations, 0u);
 }
 
 TEST(ParSolveTest, NearExhaustedBudgetStaysSerial) {
   ParGuard guard;
-  ParSolveOptions::set_defaults(forced(ParMode::kDeterministic, ParStrategy::kPortfolio));
+  ParSolveOptions::set_defaults(forced());
   util::Executor ex(4);
   set_par_executor(&ex);
   // With fewer than 4000 conflicts of budget left, clone setup would cost
@@ -301,7 +314,7 @@ TEST(ParSolveTest, NearExhaustedBudgetStaysSerial) {
 
 TEST(ParSolveTest, NegativeTriggerOverrideDisablesEscalation) {
   ParGuard guard;
-  ParSolveOptions::set_defaults(forced(ParMode::kDeterministic, ParStrategy::kPortfolio));
+  ParSolveOptions::set_defaults(forced());
   util::Executor ex(4);
   set_par_executor(&ex);
   const Instance ins = make_instance(4321);

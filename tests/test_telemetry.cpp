@@ -238,8 +238,8 @@ TEST_F(TelemetryTest, TimersAccumulateCountAndSeconds) {
 TEST_F(TelemetryTest, ScopedTimerRecords) {
   {
     tel::ScopedTimer timer("t.scoped");
-    volatile int sink = 0;
-    for (int i = 0; i < 100000; ++i) sink = sink + i;
+    volatile unsigned sink = 0;  // unsigned: the sum wraps instead of overflowing
+    for (unsigned i = 0; i < 100000; ++i) sink = sink + i;
   }
   const tel::TimerStat t = tel::timer_value("t.scoped");
   EXPECT_EQ(t.count, 1u);
@@ -252,8 +252,8 @@ TEST_F(TelemetryTest, PhasesNestHierarchically) {
     {
       tel::ScopedPhase inner("inner");
       tel::ScopedTimer spin("t.spin");
-      volatile int sink = 0;
-      for (int i = 0; i < 100000; ++i) sink = sink + i;
+      volatile unsigned sink = 0;  // unsigned: the sum wraps instead of overflowing
+      for (unsigned i = 0; i < 100000; ++i) sink = sink + i;
     }
     { tel::ScopedPhase inner2("inner"); }
   }

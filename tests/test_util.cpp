@@ -4,6 +4,7 @@
 #include <set>
 
 #include "util/log.hpp"
+#include "util/numparse.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -94,6 +95,32 @@ TEST(Log, LevelRoundTrip) {
   set_log_level(LogLevel::kError);
   EXPECT_FALSE(log_enabled(LogLevel::kWarn));
   set_log_level(before);
+}
+
+TEST(NumParse, AcceptsWholeOperandsOnly) {
+  int i = 7;
+  EXPECT_TRUE(util::parse_int("-42", i));
+  EXPECT_EQ(i, -42);
+  for (const char* bad : {"", "4x", "abc", "1.5", "99999999999"}) {
+    EXPECT_FALSE(util::parse_int(bad, i)) << bad;
+  }
+  EXPECT_FALSE(util::parse_int(nullptr, i));
+  EXPECT_EQ(i, -42);  // untouched on failure
+
+  uint64_t u = 3;
+  EXPECT_TRUE(util::parse_u64("18446744073709551615", u));
+  EXPECT_EQ(u, UINT64_MAX);
+  for (const char* bad : {"-1", " -1", "+1", "18446744073709551616", "1 "}) {
+    EXPECT_FALSE(util::parse_u64(bad, u)) << bad;
+  }
+
+  double d = 0;
+  EXPECT_TRUE(util::parse_double("2.5e1", d));
+  EXPECT_EQ(d, 25.0);
+  for (const char* bad : {"nan", "inf", "-inf", "1e999", "5s"}) {
+    EXPECT_FALSE(util::parse_double(bad, d)) << bad;
+  }
+  EXPECT_EQ(d, 25.0);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 //       Runs the ECO engine on a contest-style instance and writes the
 //       patch. Options:
 //         --algo baseline|minimize|satprune   (default minimize)
-//         --budget SECONDS                    (default 60)
+//         --budget SECONDS                    (default 60; 0 = unlimited)
 //         --patch FILE                        (default patch.v)
 //         --patched FILE                      write the patched netlist
 //         --force-structural
@@ -20,7 +20,7 @@
 //                                             default: ECO_JOBS, else 1)
 //         --ladder 0|1                        strategy-ladder fallback
 //                                             (default on; docs/ROBUSTNESS.md)
-//         --par-sat off|on|racy               intra-query parallel SAT
+//         --par-sat off|on                    intra-query parallel SAT
 //                                             (default: ECO_PAR_SAT, else off;
 //                                             docs/PARALLEL_SAT.md)
 //         --cec mono|sweep                    large-cone equivalence engine
@@ -68,6 +68,7 @@
 #include "util/executor.hpp"
 #include "util/faultpoint.hpp"
 #include "util/log.hpp"
+#include "util/numparse.hpp"
 #include "util/telemetry.hpp"
 
 namespace {
@@ -83,7 +84,7 @@ int usage() {
                "                 [--patch FILE] [--patched FILE] [--force-structural]\n"
                "                 [--stats-json FILE] [--trace FILE] [--ledger FILE]\n"
                "                 [--jobs N] [--sim-bank 0|1] [--ladder 0|1]\n"
-               "                 [--par-sat off|on|racy] [--cec mono|sweep]\n"
+               "                 [--par-sat off|on] [--cec mono|sweep]\n"
                "  ecopatch gen <unit 1..20> <outdir> [--seed N] [--scale N]\n"
                "  ecopatch stats <circuit.{v,blif,aag,aig}>\n"
                "  ecopatch cec <a> <b> [--jobs N] [--cec mono|sweep]\n"
@@ -105,11 +106,9 @@ std::string extension_of(const std::string& path) {
 /// Parses a `--jobs` operand: non-negative integer, 0 = all hardware
 /// threads. Returns -1 on a malformed operand.
 int parse_jobs(const char* s) {
-  if (s == nullptr || *s == '\0') return -1;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v < 0 || v > 4096) return -1;
-  return v == 0 ? eco::util::hardware_jobs() : static_cast<int>(v);
+  int v = 0;
+  if (!eco::util::parse_int(s, v) || v < 0 || v > 4096) return -1;
+  return v == 0 ? eco::util::hardware_jobs() : v;
 }
 
 /// Loads any supported circuit format as an AIG.
@@ -154,7 +153,8 @@ int cmd_solve(int argc, char** argv) {
       else if (algo == "satprune") options.algorithm = eco::core::Algorithm::kSatPruneCegarMin;
       else return usage();
     } else if (arg == "--budget" && i + 1 < argc) {
-      options.time_budget = std::atof(argv[++i]);
+      if (!eco::util::parse_double(argv[++i], options.time_budget) || options.time_budget < 0)
+        return usage();
     } else if (arg == "--patch" && i + 1 < argc) {
       patch_path = argv[++i];
     } else if (arg == "--patched" && i + 1 < argc) {
@@ -309,22 +309,23 @@ int cmd_solve(int argc, char** argv) {
 }
 
 int cmd_gen(int argc, char** argv) {
-  if (argc < 4) return usage();
-  const int unit_index = std::atoi(argv[2]) - 1;
+  int unit_number = 0;  // 1-based, as in the unit names
+  if (argc < 4 || !eco::util::parse_int(argv[2], unit_number) || unit_number < 1 ||
+      unit_number > eco::benchgen::kNumUnits)
+    return usage();
   const std::string outdir = argv[3];
   uint64_t seed = 20170912;
   int scale = 1;
   for (int i = 4; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!eco::util::parse_u64(argv[++i], seed)) return usage();
     } else if (!std::strcmp(argv[i], "--scale") && i + 1 < argc) {
-      scale = std::atoi(argv[++i]);
-      if (scale < 1 || scale > 1000) return usage();
+      if (!eco::util::parse_int(argv[++i], scale) || scale < 1 || scale > 1000) return usage();
     } else {
       return usage();
     }
   }
-  const eco::benchgen::EcoUnit unit = eco::benchgen::make_unit(unit_index, seed, scale);
+  const eco::benchgen::EcoUnit unit = eco::benchgen::make_unit(unit_number - 1, seed, scale);
   std::filesystem::create_directories(outdir);
   eco::net::write_verilog_file(outdir + "/impl.v", unit.impl);
   eco::net::write_verilog_file(outdir + "/spec.v", unit.spec);

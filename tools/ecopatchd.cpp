@@ -58,6 +58,7 @@
 #include "util/faultpoint.hpp"
 #include "util/ledger.hpp"
 #include "util/log.hpp"
+#include "util/numparse.hpp"
 
 namespace {
 
@@ -73,32 +74,6 @@ int usage() {
                "                 [--kill-factor F] [--recycle-jobs N]\n"
                "                 [--recycle-rss-mb M] [-v|-vv] [--fault SPEC]\n");
   return 2;
-}
-
-// Strict option-value parsing: the old atoi/atof path silently read
-// "--jobs 4x" as 4 and "--budget nan" as anything — a robustness daemon
-// must reject a command line it does not fully understand. Trailing
-// garbage, empty strings, out-of-range and sub-minimum values all fail.
-
-bool parse_long(const char* s, long min_value, long* out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0' || v < min_value) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_seconds(const char* s, double min_value, double* out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  // !(v >= min) also rejects NaN.
-  if (errno != 0 || end == s || *end != '\0' || !(v >= min_value)) return false;
-  *out = v;
-  return true;
 }
 
 int bad_value(const std::string& flag, const char* value) {
@@ -315,41 +290,43 @@ int main(int argc, char** argv) {
               arg == "--kill-factor" || arg == "--recycle-jobs" ||
               arg == "--recycle-rss-mb")) {
       const char* value = argv[++i];
+      // Strict operands (util/numparse.hpp): a robustness daemon must reject
+      // a command line it does not fully understand.
       long n = 0;
       double s = 0;
       if (arg == "--ledger") ledger_path = value;
       else if (arg == "--jobs") {
-        if (!parse_long(value, 1, &n)) return bad_value(arg, value);
+        if (!eco::util::parse_long(value, n) || n < 1) return bad_value(arg, value);
         options.jobs = static_cast<int>(n);
       } else if (arg == "--queue") {
-        if (!parse_long(value, 1, &n)) return bad_value(arg, value);
+        if (!eco::util::parse_long(value, n) || n < 1) return bad_value(arg, value);
         options.queue_depth = static_cast<size_t>(n);
       } else if (arg == "--budget") {
-        if (!parse_seconds(value, 0, &s)) return bad_value(arg, value);
+        if (!eco::util::parse_double(value, s) || s < 0) return bad_value(arg, value);
         options.default_budget_seconds = s;
       } else if (arg == "--max-budget") {
-        if (!parse_seconds(value, 0, &s)) return bad_value(arg, value);
+        if (!eco::util::parse_double(value, s) || s < 0) return bad_value(arg, value);
         options.max_budget_seconds = s;
       } else if (arg == "--cache-mb") {
-        if (!parse_long(value, 0, &n)) return bad_value(arg, value);
+        if (!eco::util::parse_long(value, n) || n < 0) return bad_value(arg, value);
         options.cache_budget_bytes = static_cast<uint64_t>(n) << 20;
       } else if (arg == "--drain-grace") {
-        if (!parse_seconds(value, 0, &s)) return bad_value(arg, value);
+        if (!eco::util::parse_double(value, s) || s < 0) return bad_value(arg, value);
         options.drain_grace_seconds = s;
       } else if (arg == "--isolate") {
-        if (!parse_long(value, 0, &n)) return bad_value(arg, value);
+        if (!eco::util::parse_long(value, n) || n < 0) return bad_value(arg, value);
         options.worker.workers = static_cast<int>(n);
       } else if (arg == "--retries") {
-        if (!parse_long(value, 0, &n)) return bad_value(arg, value);
+        if (!eco::util::parse_long(value, n) || n < 0) return bad_value(arg, value);
         options.worker.retries = static_cast<int>(n);
       } else if (arg == "--kill-factor") {
-        if (!parse_seconds(value, 1.0, &s)) return bad_value(arg, value);
+        if (!eco::util::parse_double(value, s) || s < 1.0) return bad_value(arg, value);
         options.worker.kill_factor = s;
       } else if (arg == "--recycle-jobs") {
-        if (!parse_long(value, 1, &n)) return bad_value(arg, value);
+        if (!eco::util::parse_long(value, n) || n < 1) return bad_value(arg, value);
         options.worker.recycle_jobs = static_cast<uint64_t>(n);
       } else {  // --recycle-rss-mb
-        if (!parse_long(value, 1, &n)) return bad_value(arg, value);
+        if (!eco::util::parse_long(value, n) || n < 1) return bad_value(arg, value);
         options.worker.recycle_rss_bytes = static_cast<uint64_t>(n) << 20;
       }
     } else

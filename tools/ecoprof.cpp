@@ -63,8 +63,7 @@ struct LedgerRow {
   uint64_t conflicts = 0, decisions = 0, propagations = 0;
   uint64_t vars = 0, clauses = 0, seq = 0;
   bool sim_hit = false;
-  // portfolio_attempt / cube_solve rows only (sat/parsolve.hpp workers).
-  uint64_t par_imported = 0;
+  // portfolio_attempt rows only (sat/parsolve.hpp workers).
   bool par_winner = false;
 };
 
@@ -158,8 +157,6 @@ int cmd_report(int argc, char** argv) {
     r.clauses = static_cast<uint64_t>((*v)["clauses"].as_number());
     r.seq = static_cast<uint64_t>((*v)["seq"].as_number());
     r.sim_hit = (*v)["sim_hit"].as_bool();
-    if (v->contains("par_imported"))
-      r.par_imported = static_cast<uint64_t>((*v)["par_imported"].as_number());
     if (v->contains("par_winner")) r.par_winner = (*v)["par_winner"].as_bool();
     rows.push_back(std::move(r));
   }
@@ -176,15 +173,14 @@ int cmd_report(int argc, char** argv) {
   std::map<std::string, Agg> by_phase;
   std::vector<const LedgerRow*> solve_rows;
   uint64_t buckets[kNumBuckets] = {};
-  // Parallel-SAT worker rows aggregate separately: a portfolio_attempt /
-  // cube_solve row is speculative CPU burned alongside the solve record its
-  // escalation belongs to, so folding it into the solve attribution would
-  // double-count the query's wall time.
+  // Parallel-SAT worker rows aggregate separately: a portfolio_attempt row
+  // is speculative CPU burned alongside the solve record its escalation
+  // belongs to, so folding it into the solve attribution would double-count
+  // the query's wall time.
   struct ParAgg {
-    uint64_t count = 0, winners = 0, imported = 0, conflicts = 0;
+    uint64_t count = 0, winners = 0, conflicts = 0;
     double wall = 0, cpu = 0;
-  };
-  std::map<std::string, ParAgg> par_kinds;
+  } par;
   for (const LedgerRow& r : rows) {
     if (r.kind == "sim_hit") {
       Agg& a = by_purpose[r.purpose];
@@ -192,14 +188,12 @@ int cmd_report(int argc, char** argv) {
       ++a.sim_hits;
       continue;
     }
-    if (r.kind == "portfolio_attempt" || r.kind == "cube_solve") {
-      ParAgg& a = par_kinds[r.kind];
-      ++a.count;
-      a.winners += r.par_winner ? 1 : 0;
-      a.imported += r.par_imported;
-      a.conflicts += r.conflicts;
-      a.wall += r.wall;
-      a.cpu += r.cpu;
+    if (r.kind == "portfolio_attempt") {
+      ++par.count;
+      par.winners += r.par_winner ? 1 : 0;
+      par.conflicts += r.conflicts;
+      par.wall += r.wall;
+      par.cpu += r.cpu;
       continue;
     }
     if (r.kind != "solve") continue;
@@ -240,14 +234,12 @@ int cmd_report(int argc, char** argv) {
               solve_wall > 0 ? 100.0 * tagged_wall / solve_wall : 100.0);
 
   // Parallel-SAT workers (speculative CPU, excluded from the tables above).
-  if (!par_kinds.empty()) {
+  if (par.count > 0) {
     std::printf("\nparallel SAT workers (not counted in solve attribution):\n");
-    std::printf("%-18s %8s %8s %10s %10s %12s %9s\n", "kind", "workers", "winners",
-                "wall_s", "cpu_s", "conflicts", "imported");
-    for (const auto& [name, a] : par_kinds)
-      std::printf("%-18s %8" PRIu64 " %8" PRIu64 " %10.3f %10.3f %12" PRIu64 " %9" PRIu64
-                  "\n",
-                  name.c_str(), a.count, a.winners, a.wall, a.cpu, a.conflicts, a.imported);
+    std::printf("%-18s %8s %8s %10s %10s %12s\n", "kind", "workers", "winners", "wall_s",
+                "cpu_s", "conflicts");
+    std::printf("%-18s %8" PRIu64 " %8" PRIu64 " %10.3f %10.3f %12" PRIu64 "\n",
+                "portfolio_attempt", par.count, par.winners, par.wall, par.cpu, par.conflicts);
   }
 
   // Phase breakdown (top 12 by wall time).
