@@ -56,9 +56,7 @@ std::vector<std::pair<int, std::vector<std::string>>> logical_lines(std::istream
   return out;
 }
 
-}  // namespace
-
-aig::Aig parse_blif(std::istream& in) {
+aig::Aig parse_blif_stream(std::istream& in) {
   if (ECO_FAULT_POINT(fault::Site::kNetParse))
     throw ParseError("blif:0: injected fault (net.parse)");
   const auto lines = logical_lines(in);
@@ -159,15 +157,17 @@ aig::Aig parse_blif(std::istream& in) {
   return g;
 }
 
+}  // namespace
+
 aig::Aig parse_blif_string(const std::string& text) {
   std::istringstream in(text);
-  return parse_blif(in);
+  return parse_blif_stream(in);
 }
 
 aig::Aig parse_blif_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw ParseError("blif: cannot open file: " + path);
-  return parse_blif(in);
+  return parse_blif_stream(in);
 }
 
 void write_blif(std::ostream& out, const aig::Aig& g, const std::string& model) {

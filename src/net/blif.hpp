@@ -23,7 +23,6 @@ namespace eco::net {
 /// Parses BLIF directly into an AIG (covers are synthesized through the
 /// sop factoring machinery). PI/PO names are preserved.
 /// Throws std::runtime_error on malformed or sequential content.
-aig::Aig parse_blif(std::istream& in);
 aig::Aig parse_blif_string(const std::string& text);
 aig::Aig parse_blif_file(const std::string& path);
 

@@ -1,15 +1,13 @@
 #include "net/elaborate.hpp"
 
 #include <stdexcept>
-#include <vector>
 
 namespace eco::net {
 
 namespace {
 
-aig::Lit build_gate(aig::Aig& g, const Gate& gate, const std::vector<aig::Lit>& fanins) {
-  using aig::Lit;
-  switch (gate.type) {
+aig::Lit build_gate(aig::Aig& g, GateType type, std::span<const aig::Lit> fanins) {
+  switch (type) {
     case GateType::kConst0: return aig::kLitFalse;
     case GateType::kConst1: return aig::kLitTrue;
     case GateType::kBuf: return fanins[0];
@@ -26,26 +24,26 @@ aig::Lit build_gate(aig::Aig& g, const Gate& gate, const std::vector<aig::Lit>& 
 
 }  // namespace
 
-ElaboratedAig elaborate(const Network& net) {
-  net.validate();
+ElaboratedAig elaborate(const Network& net) { return elaborate(net, net.inputs); }
+
+ElaboratedAig elaborate(const Network& net, std::span<const std::string> inputs) {
+  const SignalIndex index = index_signals(net, inputs);
+  const uint32_t num_inputs = index.num_inputs;
   ElaboratedAig out;
+  out.signal_lits.resize(num_inputs + net.gates.size(), aig::kLitFalse);
+  for (uint32_t i = 0; i < num_inputs; ++i) out.signal_lits[i] = out.aig.add_pi(inputs[i]);
 
-  for (const auto& name : net.inputs) out.signal_lits.emplace(name, out.aig.add_pi(name));
-
-  // Map each driven signal to the index of its driving gate.
-  std::unordered_map<std::string, size_t> driver;
-  for (size_t i = 0; i < net.gates.size(); ++i) driver.emplace(net.gates[i].output, i);
-
-  // Iterative post-order DFS with cycle detection over all gates.
+  // Iterative post-order DFS with cycle detection over all gates. A fanin
+  // is available once it is an input or a finished gate.
   enum class State : uint8_t { kUnvisited, kOnStack, kDone };
   std::vector<State> state(net.gates.size(), State::kUnvisited);
-  std::vector<size_t> stack;
-  for (size_t root = 0; root < net.gates.size(); ++root) {
+  std::vector<uint32_t> stack;
+  std::vector<aig::Lit> fanins;
+  for (uint32_t root = 0; root < net.gates.size(); ++root) {
     if (state[root] == State::kDone) continue;
     stack.push_back(root);
     while (!stack.empty()) {
-      const size_t gi = stack.back();
-      const Gate& gate = net.gates[gi];
+      const uint32_t gi = stack.back();
       if (state[gi] == State::kDone) {
         stack.pop_back();
         continue;
@@ -53,27 +51,29 @@ ElaboratedAig elaborate(const Network& net) {
       if (state[gi] == State::kUnvisited) {
         state[gi] = State::kOnStack;
         bool ready = true;
-        for (const auto& in : gate.inputs) {
-          if (out.signal_lits.count(in)) continue;
-          const size_t dep = driver.at(in);
+        for (const uint32_t s : index.fanins_of(gi)) {
+          if (s < num_inputs) continue;
+          const uint32_t dep = s - num_inputs;
+          if (state[dep] == State::kDone) continue;
           if (state[dep] == State::kOnStack)
-            throw InputError("elaborate: combinational cycle through '" + in + "'");
+            throw InputError("elaborate: combinational cycle through '" +
+                             net.gates[dep].output + "'");
           stack.push_back(dep);
           ready = false;
         }
         if (!ready) continue;
       }
       // All fanins available: build.
-      std::vector<aig::Lit> fanins;
-      fanins.reserve(gate.inputs.size());
-      for (const auto& in : gate.inputs) fanins.push_back(out.signal_lits.at(in));
-      out.signal_lits.emplace(gate.output, build_gate(out.aig, gate, fanins));
+      fanins.clear();
+      for (const uint32_t s : index.fanins_of(gi)) fanins.push_back(out.signal_lits[s]);
+      out.signal_lits[num_inputs + gi] = build_gate(out.aig, net.gates[gi].type, fanins);
       state[gi] = State::kDone;
       stack.pop_back();
     }
   }
 
-  for (const auto& name : net.outputs) out.aig.add_po(out.signal_lits.at(name), name);
+  for (size_t o = 0; o < net.outputs.size(); ++o)
+    out.aig.add_po(out.signal_lits[index.outputs[o]], net.outputs[o]);
   return out;
 }
 

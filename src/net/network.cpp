@@ -1,8 +1,28 @@
 #include "net/network.hpp"
 
-#include <stdexcept>
+#include <bit>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <string_view>
+#include <system_error>
+#include <unordered_set>
 
 namespace eco::net {
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(path, ec);  // fails on non-regular files
+  std::string bytes(ec ? 0 : static_cast<size_t>(size), '\0');
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  bytes.resize(static_cast<size_t>(in.gcount()));
+  // A file that grew since the size query is still read to its end.
+  if (in) bytes.append(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  return bytes;
+}
 
 const char* gate_type_name(GateType type) noexcept {
   switch (type) {
@@ -31,48 +51,114 @@ std::vector<std::string> Network::all_signals() const {
   return out;
 }
 
-void Network::validate() const {
-  std::unordered_set<std::string> driven;
+namespace {
+
+[[noreturn]] void invalid(const Network& net, const std::string& what) {
+  throw InputError("network '" + net.name + "': " + what);
+}
+
+/// Open-addressing table from signal name to signal index, keyed by views
+/// into the network's own strings: no allocation per entry, and a probe
+/// compares a stored hash before it touches a name.
+class NameTable {
+ public:
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
+  explicit NameTable(size_t max_names)
+      : slots_(std::bit_ceil(2 * max_names + 2)), mask_(slots_.size() - 1) {
+    names_.reserve(max_names);
+  }
+
+  /// Adds \p name under the next index; false when it is already present.
+  bool insert(std::string_view name) {
+    const uint64_t h = std::hash<std::string_view>{}(name);
+    Slot& slot = slots_[probe(name, h)];
+    if (slot.index != kAbsent) return false;
+    slot = Slot{static_cast<uint32_t>(names_.size()), static_cast<uint32_t>(h >> 32)};
+    names_.push_back(name);
+    return true;
+  }
+
+  /// Index of \p name, or kAbsent.
+  uint32_t find(std::string_view name) const {
+    return slots_[probe(name, std::hash<std::string_view>{}(name))].index;
+  }
+
+ private:
+  struct Slot {
+    uint32_t index = kAbsent;
+    uint32_t tag = 0;  ///< high hash bits
+  };
+
+  /// The slot holding \p name, or the empty slot where it would go.
+  size_t probe(std::string_view name, uint64_t h) const {
+    const auto tag = static_cast<uint32_t>(h >> 32);
+    for (size_t i = h & mask_;; i = (i + 1) & mask_) {
+      const Slot& s = slots_[i];
+      if (s.index == kAbsent || (s.tag == tag && names_[s.index] == name)) return i;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t mask_;
+  std::vector<std::string_view> names_;
+};
+
+}  // namespace
+
+void Network::validate() const { index_signals(*this, inputs); }
+
+SignalIndex index_signals(const Network& net, std::span<const std::string> inputs) {
+  SignalIndex index;
+  index.num_inputs = static_cast<uint32_t>(inputs.size());
+  const size_t num_signals = inputs.size() + net.gates.size();
+  NameTable id(num_signals);
   for (const auto& s : inputs)
-    if (!driven.insert(s).second)
-      throw InputError("network '" + name + "': duplicate input '" + s + "'");
-  for (const auto& g : gates) {
-    if (!driven.insert(g.output).second)
-      throw InputError("network '" + name + "': signal '" + g.output +
-                               "' has multiple drivers");
-    const size_t n = g.inputs.size();
-    switch (g.type) {
+    if (!id.insert(s)) invalid(net, "duplicate input '" + s + "'");
+  size_t num_fanins = 0;
+  for (const Gate& gate : net.gates) {
+    if (!id.insert(gate.output))
+      invalid(net, "signal '" + gate.output + "' has multiple drivers");
+    const size_t n = gate.inputs.size();
+    switch (gate.type) {
       case GateType::kBuf:
       case GateType::kNot:
-        if (n != 1)
-          throw InputError("network '" + name + "': gate '" + g.output +
-                                   "' needs exactly 1 input");
+        if (n != 1) invalid(net, "gate '" + gate.output + "' needs exactly 1 input");
         break;
       case GateType::kConst0:
       case GateType::kConst1:
-        if (n != 0)
-          throw InputError("network '" + name + "': constant gate '" + g.output +
-                                   "' takes no inputs");
+        if (n != 0) invalid(net, "constant gate '" + gate.output + "' takes no inputs");
         break;
       default:
-        if (n < 1)
-          throw InputError("network '" + name + "': gate '" + g.output +
-                                   "' needs at least 1 input");
+        if (n < 1) invalid(net, "gate '" + gate.output + "' needs at least 1 input");
         break;
     }
+    num_fanins += n;
   }
-  std::unordered_set<std::string> outs;
-  for (const auto& s : outputs) {
-    if (!outs.insert(s).second)
-      throw InputError("network '" + name + "': duplicate output '" + s + "'");
-    if (!driven.count(s))
-      throw InputError("network '" + name + "': output '" + s + "' is never driven");
+  std::vector<uint8_t> is_output(num_signals, 0);
+  index.outputs.reserve(net.outputs.size());
+  for (const auto& s : net.outputs) {
+    // An undriven output fails on its first listing, so only driven ones
+    // can reach the duplicate check.
+    const uint32_t signal = id.find(s);
+    if (signal == NameTable::kAbsent) invalid(net, "output '" + s + "' is never driven");
+    if (is_output[signal]) invalid(net, "duplicate output '" + s + "'");
+    is_output[signal] = 1;
+    index.outputs.push_back(signal);
   }
-  for (const auto& g : gates)
-    for (const auto& in : g.inputs)
-      if (!driven.count(in))
-        throw InputError("network '" + name + "': signal '" + in +
-                                 "' is used but never driven");
+  index.fanin_begin.reserve(net.gates.size() + 1);
+  index.fanins.reserve(num_fanins);
+  for (const Gate& gate : net.gates) {
+    index.fanin_begin.push_back(static_cast<uint32_t>(index.fanins.size()));
+    for (const auto& in : gate.inputs) {
+      const uint32_t signal = id.find(in);
+      if (signal == NameTable::kAbsent)
+        invalid(net, "signal '" + in + "' is used but never driven");
+      index.fanins.push_back(signal);
+    }
+  }
+  index.fanin_begin.push_back(static_cast<uint32_t>(index.fanins.size()));
+  return index;
 }
 
 }  // namespace eco::net

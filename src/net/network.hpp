@@ -10,10 +10,11 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace eco::net {
@@ -35,6 +36,11 @@ class InputError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// Reads the whole file at \p path in one read; nullopt when it cannot be
+/// opened. Every file front end (the parsers' `_file` entry points and the
+/// service's content-hashed loads) reads through this.
+std::optional<std::string> read_file(const std::string& path);
 
 /// Primitive gate types of the structural-Verilog subset.
 enum class GateType {
@@ -72,16 +78,40 @@ struct Network {
   std::vector<std::string> all_signals() const;
 
   /// Validates structural sanity; throws InputError describing the first
-  /// problem found:
-  ///  - duplicated input/output/driver names,
-  ///  - gates with the wrong arity for their type,
-  ///  - signals used but never driven and not inputs,
-  ///  - outputs never driven and not inputs.
+  /// problem found, checking in this order:
+  ///  - duplicated input names,
+  ///  - per gate: a second driver of its output, then the wrong arity for
+  ///    its type,
+  ///  - per output: duplicated, then never driven,
+  ///  - per gate input: used but never driven.
   void validate() const;
 
   /// Number of gates (the "#gate" columns of Table 1).
   size_t num_gates() const noexcept { return gates.size(); }
 };
+
+/// Every signal name of a Network resolved to an integer, so elaboration
+/// and divisor selection work on indices instead of names. Signal `i` below
+/// `num_inputs` is input `i`; signal `num_inputs + g` is the output of gate
+/// `g`.
+struct SignalIndex {
+  uint32_t num_inputs = 0;
+  /// Fanin signals of gate `g` are `fanins[fanin_begin[g] .. fanin_begin[g + 1])`.
+  std::vector<uint32_t> fanin_begin;
+  std::vector<uint32_t> fanins;
+  /// Signal of each output, in `Network::outputs` order.
+  std::vector<uint32_t> outputs;
+
+  std::span<const uint32_t> fanins_of(size_t gate) const noexcept {
+    return {fanins.data() + fanin_begin[gate], fanins.data() + fanin_begin[gate + 1]};
+  }
+};
+
+/// Resolves the signals of \p net with its input list taken to be \p inputs
+/// (so a caller can reorder the primary inputs without copying the network).
+/// This is the one name-resolution pass: it performs every check of
+/// Network::validate() in the same order and throws the same InputError.
+SignalIndex index_signals(const Network& net, std::span<const std::string> inputs);
 
 /// Signal weights for resource-aware ECO (contest weight files).
 /// Signals missing from the map take \ref default_weight.

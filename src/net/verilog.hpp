@@ -14,15 +14,21 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "net/network.hpp"
 
 namespace eco::net {
 
-/// Parses one module. Throws std::runtime_error with a line number on
-/// malformed input. The resulting network is validated.
-Network parse_verilog(std::istream& in);
-Network parse_verilog_string(const std::string& text);
+/// Deepest ``~``/parenthesis nesting an ``assign`` expression may have; a
+/// deeper one is a ParseError ("expression nested too deeply") rather than
+/// unbounded recursion in the parser.
+inline constexpr int kMaxExpressionDepth = 1000;
+
+/// Parses one module from the file bytes \p text. Throws ParseError with a
+/// line number on malformed input; the resulting network is validated
+/// (InputError). The `_file` form reads the file once and parses its bytes.
+Network parse_verilog_string(std::string_view text);
 Network parse_verilog_file(const std::string& path);
 
 /// Writes \p net as structural Verilog (primitives + constant assigns).

@@ -1,10 +1,10 @@
 #include "net/weights.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
-#include <istream>
+#include <optional>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -12,40 +12,56 @@
 
 namespace eco::net {
 
-WeightMap parse_weights(std::istream& in) {
+namespace {
+
+/// The C-locale isspace set: what `>>` skips between tokens.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+ParseError error_at(int line, const std::string& msg) {
+  return ParseError("weights:" + std::to_string(line) + ": " + msg);
+}
+
+}  // namespace
+
+WeightMap parse_weights_string(std::string_view text) {
   if (ECO_FAULT_POINT(fault::Site::kNetParse))
     throw ParseError("weights:0: injected fault (net.parse)");
   WeightMap wm;
-  std::string line;
   int line_no = 0;
-  while (std::getline(in, line)) {
+  for (size_t pos = 0; pos < text.size();) {
+    const size_t eol = std::min(text.find('\n', pos), text.size());
+    const std::string_view line = text.substr(pos, eol - pos);
+    pos = eol + 1;
     ++line_no;
     const size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream ls(line);
-    std::string signal;
+    if (first == std::string_view::npos || line[first] == '#') continue;
+    // The signal: the first whitespace-delimited token.
+    const char* p = line.data();
+    const char* const end = p + line.size();
+    while (p != end && is_space(*p)) ++p;
+    const char* const signal_begin = p;
+    while (p != end && !is_space(*p)) ++p;
+    const std::string_view signal(signal_begin, static_cast<size_t>(p - signal_begin));
+    // The weight: an optionally signed decimal that fits int64_t. A leading
+    // '+' is accepted too; from_chars does not take it, so skip it here.
+    while (p != end && is_space(*p)) ++p;
+    if (p != end && *p == '+' && end - p > 1 && p[1] >= '0' && p[1] <= '9') ++p;
     int64_t weight = 0;
-    if (!(ls >> signal >> weight))
-      throw ParseError("weights:" + std::to_string(line_no) + ": malformed line");
-    std::string rest;
-    if (ls >> rest)
-      throw ParseError("weights:" + std::to_string(line_no) + ": trailing tokens");
-    if (!wm.weights.emplace(signal, weight).second)
-      throw ParseError("weights:" + std::to_string(line_no) + ": duplicate signal '" +
-                               signal + "'");
+    const auto [num_end, ec] = std::from_chars(p, end, weight);
+    if (signal.empty() || ec != std::errc())
+      throw error_at(line_no, "malformed line");
+    if (std::any_of(num_end, end, [](char c) { return !is_space(c); }))
+      throw error_at(line_no, "trailing tokens");
+    if (!wm.weights.emplace(std::string(signal), weight).second)
+      throw error_at(line_no, "duplicate signal '" + std::string(signal) + "'");
   }
   return wm;
 }
 
-WeightMap parse_weights_string(const std::string& text) {
-  std::istringstream in(text);
-  return parse_weights(in);
-}
-
 WeightMap parse_weights_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw ParseError("weights: cannot open file: " + path);
-  return parse_weights(in);
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw ParseError("weights: cannot open file: " + path);
+  return parse_weights_string(*text);
 }
 
 void write_weights(std::ostream& out, const WeightMap& weights) {

@@ -5,16 +5,17 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "net/network.hpp"
 
 namespace eco::net {
 
-/// Parses a weight file. Lines starting with '#' and blank lines are
-/// ignored. Throws std::runtime_error on malformed lines or duplicate
-/// signals.
-WeightMap parse_weights(std::istream& in);
-WeightMap parse_weights_string(const std::string& text);
+/// Parses the weight-file bytes \p text. Lines starting with '#' and blank
+/// lines are ignored. Throws ParseError on malformed lines (including a
+/// weight outside int64_t), trailing tokens, or duplicate signals. The
+/// `_file` form reads the file once and parses its bytes.
+WeightMap parse_weights_string(std::string_view text);
 WeightMap parse_weights_file(const std::string& path);
 
 void write_weights(std::ostream& out, const WeightMap& weights);

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <optional>
 
 #include "net/verilog.hpp"
 #include "net/weights.hpp"
@@ -15,11 +14,9 @@ namespace {
 /// Reads the whole file; throws net::ParseError (the parser taxonomy) when
 /// it cannot be opened, so a bad path fails the same way a bad file does.
 std::string read_file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw net::ParseError(path + ": cannot open file");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return std::move(buf).str();
+  std::optional<std::string> bytes = net::read_file(path);
+  if (!bytes) throw net::ParseError(path + ": cannot open file");
+  return std::move(*bytes);
 }
 
 /// Kind tags keep the three artifact namespaces apart in one map while the

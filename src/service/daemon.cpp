@@ -194,10 +194,14 @@ void Daemon::run_job(std::shared_ptr<Job> job) {
   if (pool_ != nullptr)
     handled = run_job_isolated(*job, queue_seconds, response, cancelled);
   if (!handled) try {
+    Timer layer_timer;
     const LoadedInputs in =
         load_inputs(cache_, job->impl_path, job->spec_path, job->weights_path);
+    const double load_seconds = layer_timer.seconds();
+    layer_timer.reset();
     bool problem_hit = false;
     const auto problem = cache_.problem(*in.impl, *in.spec, *in.weights, &problem_hit);
+    const double problem_seconds = layer_timer.seconds();
 
     core::EngineOptions opts = options_.engine;
     if (job->has_algorithm) opts.algorithm = job->algorithm;
@@ -224,6 +228,8 @@ void Daemon::run_job(std::shared_ptr<Job> job) {
     w.begin_object();
     w.kv("queue_seconds", queue_seconds);
     w.kv("exec_seconds", exec_timer.seconds());
+    w.kv("load_seconds", load_seconds);
+    w.kv("problem_seconds", problem_seconds);
     w.kv("session", hash_hex(problem->key));
     w.key("cache");
     w.begin_object();

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <thread>
 
 #include "aig/sim.hpp"
 #include "cec/cec.hpp"
@@ -126,6 +128,50 @@ TEST(Verilog, RejectsWideLiterals) {
                std::runtime_error);
 }
 
+/// A module whose only assign nests \p depth copies of \p open (closed by
+/// as many \p close) around one signal.
+std::string nested_assign(int depth, const std::string& open, const std::string& close) {
+  std::string text = "module m (a, y); input a; output y; assign y = ";
+  for (int i = 0; i < depth; ++i) text += open;
+  text += 'a';
+  for (int i = 0; i < depth; ++i) text += close;
+  return text + "; endmodule\n";
+}
+
+/// Parses on a fresh std::thread, whose default stack is what a daemon
+/// worker has; returns "ok" or the error text.
+std::string parse_on_thread(const std::string& text) {
+  std::string result;
+  std::thread([&] {
+    try {
+      parse_verilog_string(text);
+      result = "ok";
+    } catch (const ParseError& e) {
+      result = e.what();
+    } catch (const std::exception& e) {
+      result = std::string("unexpected: ") + e.what();
+    }
+  }).join();
+  return result;
+}
+
+TEST(Verilog, DeepNestingIsAParseErrorNotACrash) {
+  const std::string too_deep = "verilog:1: expression nested too deeply";
+  EXPECT_EQ(parse_on_thread(nested_assign(100000, "(", ")")), too_deep);
+  EXPECT_EQ(parse_on_thread(nested_assign(1000000, "~", "")), too_deep);
+  EXPECT_EQ(parse_on_thread(nested_assign(kMaxExpressionDepth + 1, "(", ")")), too_deep);
+  EXPECT_EQ(parse_on_thread(nested_assign(kMaxExpressionDepth + 1, "~(", ")")), too_deep);
+}
+
+TEST(Verilog, NestingAtTheBoundParses) {
+  EXPECT_EQ(parse_on_thread(nested_assign(kMaxExpressionDepth, "(", ")")), "ok");
+  EXPECT_EQ(parse_on_thread(nested_assign(kMaxExpressionDepth, "~", "")), "ok");
+  // "~(" is two levels per copy.
+  EXPECT_EQ(parse_on_thread(nested_assign(kMaxExpressionDepth / 2, "~(", ")")), "ok");
+  const Network net = parse_verilog_string(nested_assign(kMaxExpressionDepth, "~", ""));
+  EXPECT_EQ(aig::eval(elaborate(net).aig, {true})[0], true);  // an even number of inversions
+}
+
 TEST(Network, ValidateRejectsMultipleDrivers) {
   Network net;
   net.inputs = {"a"};
@@ -162,7 +208,11 @@ TEST(Elaborate, DanglingGatesStillNamed) {
       "module m (a, b, y); input a, b; output y;"
       "and (y, a, b); or (unused, a, b); endmodule");
   const auto elab = elaborate(net);
-  EXPECT_TRUE(elab.signal_lits.count("unused"));
+  // Signals are indexed inputs first, then gate outputs: "unused" is gate 1.
+  ASSERT_EQ(net.gates[1].output, "unused");
+  ASSERT_EQ(elab.signal_lits.size(), net.inputs.size() + net.gates.size());
+  const aig::Lit unused = elab.signal_lits[net.inputs.size() + 1];
+  EXPECT_TRUE(elab.aig.is_and(aig::lit_node(unused)));
   EXPECT_EQ(elab.aig.num_pos(), 1u);
 }
 

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchgen/suite.hpp"
@@ -167,6 +168,17 @@ TEST(ServiceDaemon, SolveThenCacheHitSameSession) {
             r2["outcome"]["total_cost"].as_number());
   EXPECT_EQ(r1["id"].as_string(), "j1");
   EXPECT_EQ(r2["id"].as_string(), "j2");
+  // Front-end layer timings: read+hash+parse, then the problem lookup or
+  // build, both inside the job's exec time.
+  for (const JsonValue* r : {&r1, &r2}) {
+    const JsonValue& svc = (*r)["service"];
+    ASSERT_TRUE(svc["load_seconds"].is_number());
+    ASSERT_TRUE(svc["problem_seconds"].is_number());
+    EXPECT_GE(svc["load_seconds"].as_number(), 0.0);
+    EXPECT_GE(svc["problem_seconds"].as_number(), 0.0);
+    EXPECT_LE(svc["load_seconds"].as_number() + svc["problem_seconds"].as_number(),
+              svc["exec_seconds"].as_number());
+  }
 }
 
 TEST(ServiceDaemon, BadRequestsAreRejectedInline) {
@@ -193,12 +205,27 @@ TEST(ServiceDaemon, MissingInputFileYieldsParseErrorResponse) {
   Daemon daemon(opts);
   const std::array<std::string, 3> bogus = {"/nonexistent/impl.v", "/nonexistent/spec.v",
                                             "/nonexistent/weights.txt"};
-  const JsonValue r = parse_response(daemon.submit_and_wait(solve_request("bad", bogus)));
-  EXPECT_FALSE(r["ok"].as_bool());
-  EXPECT_EQ(r["error"]["code"].as_string(), "parse");
-  // The fault stayed inside the job: the daemon keeps serving.
-  const JsonValue ping = parse_response(daemon.submit_and_wait("{\"op\":\"ping\",\"id\":\"p\"}"));
-  EXPECT_TRUE(ping["ok"].as_bool());
+  // An implementation whose assign nests 100,000 parentheses: a parse
+  // error, not a stack overflow in the job's thread.
+  const std::array<std::string, 3> deep = write_unit("deep_nesting", 1);
+  {
+    std::ofstream out(deep[0]);
+    out << "module deep (a, y); input a; output y; assign y = " << std::string(100000, '(')
+        << 'a' << std::string(100000, ')') << "; endmodule\n";
+  }
+  const std::pair<std::array<std::string, 3>, std::string> cases[] = {
+      {bogus, "cannot open file"}, {deep, "expression nested too deeply"}};
+  for (const auto& [files, why] : cases) {
+    const JsonValue r = parse_response(daemon.submit_and_wait(solve_request("bad", files)));
+    EXPECT_FALSE(r["ok"].as_bool());
+    EXPECT_EQ(r["error"]["code"].as_string(), "parse");
+    EXPECT_NE(r["error"]["message"].as_string().find(why), std::string::npos)
+        << r["error"]["message"].as_string();
+    // The fault stayed inside the job: the daemon keeps serving.
+    const JsonValue ping =
+        parse_response(daemon.submit_and_wait("{\"op\":\"ping\",\"id\":\"p\"}"));
+    EXPECT_TRUE(ping["ok"].as_bool());
+  }
 }
 
 TEST(ServiceDaemon, QueueFullRejectionWhenSaturated) {
