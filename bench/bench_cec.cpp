@@ -194,24 +194,11 @@ void append_record(eco::JsonWriter& w, const std::string& unit_name, const char*
   w.kv("cpu_seconds", row.cpu_seconds);
   w.key("sat");
   w.begin_object();
-  w.kv("solvers", row.sat.solvers);
-  w.kv("solves", row.sat.solves);
-  w.kv("decisions", row.sat.decisions);
-  w.kv("propagations", row.sat.propagations);
-  w.kv("conflicts", row.sat.conflicts);
-  w.kv("restarts", row.sat.restarts);
+  eco::telemetry::write_json(w, row.sat);
   w.end_object();
   w.key("sweep");
   w.begin_object();
-  w.kv("classes", row.sweep.classes);
-  w.kv("proofs", row.sweep.proofs);
-  w.kv("refutes", row.sweep.refutes);
-  w.kv("merges", row.sweep.merges);
-  w.kv("cex_splits", row.sweep.cex_splits);
-  w.kv("undefs", row.sweep.undefs);
-  w.kv("rounds", row.sweep.rounds);
-  w.kv("nodes_before", row.sweep.nodes_before);
-  w.kv("nodes_after", row.sweep.nodes_after);
+  eco::cec::write_json(w, row.sweep);
   w.end_object();
   w.end_object();
 }

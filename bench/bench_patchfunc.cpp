@@ -21,13 +21,18 @@
 #include "eco/support.hpp"
 #include "eco/window.hpp"
 #include "sop/synth.hpp"
+#include "util/numparse.hpp"
 #include "util/timer.hpp"
 
 int main(int argc, char** argv) {
   uint64_t seed = 20170912;
-  for (int i = 1; i < argc; ++i)
-    if (!std::strcmp(argv[i], "--seed") && i + 1 < argc)
-      seed = std::strtoull(argv[++i], nullptr, 10);
+  for (int i = 1; i < argc; i += 2) {
+    // argv[argc] is null, so a trailing "--seed" fails parse_u64.
+    if (std::strcmp(argv[i], "--seed") != 0 || !eco::util::parse_u64(argv[i + 1], seed)) {
+      std::fprintf(stderr, "usage: %s [--seed N]\n", argv[0]);
+      return 2;
+    }
+  }
 
   std::printf("Ablation B: cube enumeration + factoring vs. monolithic cofactor patch\n");
   std::printf("(single-target units of the synthetic suite)\n\n");

@@ -12,14 +12,19 @@
 #include "eco/problem.hpp"
 #include "eco/structural.hpp"
 #include "qbf/qbf2.hpp"
+#include "util/numparse.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
 int main(int argc, char** argv) {
   uint64_t seed = 7;
-  for (int i = 1; i < argc; ++i)
-    if (!std::strcmp(argv[i], "--seed") && i + 1 < argc)
-      seed = std::strtoull(argv[++i], nullptr, 10);
+  for (int i = 1; i < argc; i += 2) {
+    // argv[argc] is null, so a trailing "--seed" fails parse_u64.
+    if (std::strcmp(argv[i], "--seed") != 0 || !eco::util::parse_u64(argv[i + 1], seed)) {
+      std::fprintf(stderr, "usage: %s [--seed N]\n", argv[0]);
+      return 2;
+    }
+  }
 
   std::printf("Ablation C: miter copies for multi-target structural patches\n");
   std::printf("(QBF-certificate construction vs. naive 2^k - 1 expansion)\n\n");

@@ -141,54 +141,10 @@ void append_record(eco::JsonWriter& w, const eco::benchgen::EcoUnit& unit,
   w.kv("gates", row.gates);
   w.kv("seconds", row.seconds);
   w.kv("cpu_seconds", row.cpu_seconds);
-  w.key("phases");
-  w.begin_object();
-  w.kv("window", row.stats.window_seconds);
-  w.kv("qbf_feasibility", row.stats.qbf_seconds);
-  w.kv("sat_path", row.stats.sat_path_seconds);
-  w.kv("structural", row.stats.structural_seconds);
-  w.kv("assemble", row.stats.assemble_seconds);
-  w.kv("verify", row.stats.verify_seconds);
-  w.end_object();
   w.kv("qbf_iterations", row.stats.qbf_iterations);
   w.kv("support_sat_calls", row.stats.support_sat_calls);
   w.kv("satprune_iterations", row.stats.satprune_iterations);
-  w.key("sat");
-  w.begin_object();
-  w.kv("solvers", row.stats.sat_solvers);
-  w.kv("solves", row.stats.sat_solves);
-  w.kv("decisions", row.stats.sat_decisions);
-  w.kv("propagations", row.stats.sat_propagations);
-  w.kv("conflicts", row.stats.sat_conflicts);
-  w.kv("restarts", row.stats.sat_restarts);
-  w.kv("prefix_reused_levels", row.stats.sat_prefix_reused_levels);
-  w.kv("propagations_saved", row.stats.sat_propagations_saved);
-  w.kv("restarts_blocked", row.stats.sat_restarts_blocked);
-  w.kv("learnts_core", row.stats.sat_learnts_core);
-  w.kv("learnts_tier2", row.stats.sat_learnts_tier2);
-  w.kv("learnts_local", row.stats.sat_learnts_local);
-  w.kv("par_escalations", row.stats.sat_par_escalations);
-  w.kv("par_portfolio", row.stats.sat_par_portfolio);
-  w.kv("par_wins", row.stats.sat_par_wins);
-  w.end_object();
-  w.key("sim");
-  w.begin_object();
-  w.kv("refuted_support", row.stats.sim_refuted_support);
-  w.kv("filtered_resub", row.stats.sim_filtered_resub);
-  w.kv("irredundant_hits", row.stats.sim_irredundant_hits);
-  w.kv("bank_patterns", row.stats.sim_bank_patterns);
-  w.kv("resim_nodes", row.stats.sim_resim_nodes);
-  w.end_object();
-  // Schema-additive (all zero under --cec mono, the default).
-  w.key("sweep");
-  w.begin_object();
-  w.kv("classes", row.stats.sweep_classes);
-  w.kv("proofs", row.stats.sweep_proofs);
-  w.kv("refutes", row.stats.sweep_refutes);
-  w.kv("merges", row.stats.sweep_merges);
-  w.kv("cex_splits", row.stats.sweep_cex_splits);
-  w.kv("equiv_divisors", row.stats.sweep_equiv_divisors);
-  w.end_object();
+  eco::core::write_json(w, row.stats);
   w.end_object();
 }
 

@@ -72,16 +72,9 @@ void CecOptions::set_defaults(const CecOptions& opts) noexcept {
 }
 
 void SweepStats::accumulate(const SweepStats& other) noexcept {
-  classes += other.classes;
-  proofs += other.proofs;
-  refutes += other.refutes;
-  merges += other.merges;
-  cex_splits += other.cex_splits;
-  undefs += other.undefs;
-  rounds += other.rounds;
-  phase_seeded += other.phase_seeded;
-  nodes_before += other.nodes_before;
-  nodes_after += other.nodes_after;
+#define ECO_X(name) name += other.name;
+  ECO_SWEEP_STATS(ECO_X)
+#undef ECO_X
 }
 
 // ---------------------------------------------------------------------------

@@ -81,6 +81,7 @@
 #include "aig/aig.hpp"
 #include "cec/cec.hpp"
 #include "util/cancel.hpp"
+#include "util/jsonw.hpp"
 #include "util/timer.hpp"
 
 namespace eco::util {
@@ -153,21 +154,34 @@ struct CecOptions {
   static void set_defaults(const CecOptions& opts) noexcept;
 };
 
+/// The sweep counters as an X-macro list (docs/OBSERVABILITY.md).
+#define ECO_SWEEP_STATS(X)                                                  \
+  X(classes)      /* multi-member candidate classes examined */             \
+  X(proofs)       /* pairs proven equivalent by SAT */                      \
+  X(refutes)      /* pairs refuted (SAT model found) */                     \
+  X(merges)       /* nodes merged (SAT-proven + structural) */              \
+  X(cex_splits)   /* counterexamples harvested into the bank */             \
+  X(undefs)       /* pair proofs abandoned on budget/deadline */            \
+  X(rounds)       /* refine/prove/merge rounds run */                       \
+  X(phase_seeded) /* Tseitin variables phase-seeded from the bank */        \
+  X(nodes_before) /* AND nodes in the input AIG */                          \
+  X(nodes_after)  /* AND nodes in the final reduced AIG */
+
 /// Counters of one sweep (also exported as `sweep.*` telemetry).
 struct SweepStats {
-  uint64_t classes = 0;     ///< multi-member candidate classes examined
-  uint64_t proofs = 0;      ///< pairs proven equivalent by SAT
-  uint64_t refutes = 0;     ///< pairs refuted (SAT model found)
-  uint64_t merges = 0;      ///< nodes merged (SAT-proven + structural)
-  uint64_t cex_splits = 0;  ///< counterexamples harvested into the bank
-  uint64_t undefs = 0;      ///< pair proofs abandoned on budget/deadline
-  uint64_t rounds = 0;      ///< refine/prove/merge rounds run
-  uint64_t phase_seeded = 0;  ///< Tseitin variables phase-seeded from the bank
-  uint32_t nodes_before = 0;  ///< AND nodes in the input AIG
-  uint32_t nodes_after = 0;   ///< AND nodes in the final reduced AIG
+#define ECO_X(name) uint64_t name = 0;
+  ECO_SWEEP_STATS(ECO_X)
+#undef ECO_X
 
   void accumulate(const SweepStats& other) noexcept;
 };
+
+/// Writes `"name": value` per list entry into the open object of \p w.
+inline void write_json(JsonWriter& w, const SweepStats& s) {
+#define ECO_X(name) w.kv(#name, s.name);
+  ECO_SWEEP_STATS(ECO_X)
+#undef ECO_X
+}
 
 /// A proven equivalence `a == b` between two literals of the *input* AIG
 /// (complement encoded in the literals; `lit_node(a) < lit_node(b)`).

@@ -30,6 +30,32 @@ namespace eco::core {
 
 namespace {
 
+/// One run's counters as their lists' structs. EngineStats keeps them flat,
+/// as `sat_<name>`, `sweep_<name>` and `sim_<name>` members.
+struct Counters {
+  telemetry::SolverTotals sat{};
+  cec::SweepStats sweep{};
+  SimFilterStats sim{};
+};
+
+/// Calls f(flat member, list member) for every counter of the three lists.
+template <class Stats, class C, class F>
+void zip_counters(Stats& s, C& c, F f) {
+#define ECO_X(name) f(s.sat_##name, c.sat.name);
+  ECO_SOLVER_TOTALS(ECO_X)
+#undef ECO_X
+#define ECO_X(name) f(s.sweep_##name, c.sweep.name);
+  ECO_SWEEP_STATS(ECO_X)
+#undef ECO_X
+#define ECO_X(name) f(s.sim_##name, c.sim.name);
+  ECO_SIM_STATS(ECO_X)
+#undef ECO_X
+}
+
+void add_counters(EngineStats& stats, const Counters& c) {
+  zip_counters(stats, c, [](uint64_t& flat, uint64_t list) { flat += list; });
+}
+
 /// One computed patch, expressed inside an implementation-space AIG.
 struct BuiltPatch {
   aig::Lit lit = aig::kLitFalse;   ///< in the work AIG (kept up to date)
@@ -253,12 +279,7 @@ bool run_sat_path(const EcoProblem& problem, const Window& window,
     }
     const auto accumulate_sim = [&]() {
       if (!simf.has_value()) return;
-      const SimFilterStats s = simf->stats();
-      stats.sim_refuted_support += s.refuted_support;
-      stats.sim_filtered_resub += s.filtered_resub;
-      stats.sim_irredundant_hits += s.irredundant_hits;
-      stats.sim_bank_patterns += s.bank_patterns;
-      stats.sim_resim_nodes += s.resim_nodes;
+      add_counters(stats, {.sim = simf->stats()});
       if (cec_seeds.size() < kMaxCecSeeds)
         for (auto& p : simf->counterexample_prefixes(problem.num_shared_pis(),
                                                      kMaxCecSeeds - cec_seeds.size()))
@@ -497,12 +518,7 @@ bool run_structural_path(const EcoProblem& problem, const Window& window,
     bp.lit = patch_lits[t];
     built.push_back(std::move(bp));
   }
-  if (rfilter.has_value()) {
-    const SimFilterStats s = rfilter->stats();
-    stats.sim_filtered_resub += s.filtered_resub;
-    stats.sim_bank_patterns += s.bank_patterns;
-    stats.sim_resim_nodes += s.resim_nodes;
-  }
+  if (rfilter.has_value()) add_counters(stats, {.sim = rfilter->stats()});
   return true;
 }
 
@@ -536,27 +552,7 @@ EcoOutcome run_eco_attempt(const EcoProblem& problem, const EngineOptions& optio
   cec::SweepStats sweep_stats;
   const auto finish = [&](EcoOutcome& out) {
     out.seconds = timer.seconds();
-    out.stats.sweep_classes = sweep_stats.classes;
-    out.stats.sweep_proofs = sweep_stats.proofs;
-    out.stats.sweep_refutes = sweep_stats.refutes;
-    out.stats.sweep_merges = sweep_stats.merges;
-    out.stats.sweep_cex_splits = sweep_stats.cex_splits;
-    const telemetry::SolverTotals sat = sat_acc.totals();
-    out.stats.sat_solvers = sat.solvers;
-    out.stats.sat_solves = sat.solves;
-    out.stats.sat_decisions = sat.decisions;
-    out.stats.sat_propagations = sat.propagations;
-    out.stats.sat_conflicts = sat.conflicts;
-    out.stats.sat_restarts = sat.restarts;
-    out.stats.sat_prefix_reused_levels = sat.prefix_reused_levels;
-    out.stats.sat_propagations_saved = sat.propagations_saved;
-    out.stats.sat_restarts_blocked = sat.restarts_blocked;
-    out.stats.sat_learnts_core = sat.learnts_core;
-    out.stats.sat_learnts_tier2 = sat.learnts_tier2;
-    out.stats.sat_learnts_local = sat.learnts_local;
-    out.stats.sat_par_escalations = sat.par_escalations;
-    out.stats.sat_par_portfolio = sat.par_portfolio;
-    out.stats.sat_par_wins = sat.par_wins;
+    add_counters(out.stats, {.sat = sat_acc.totals(), .sweep = sweep_stats});
   };
 
   // 1. Structural pruning (paper §3.3).
@@ -1004,6 +1000,33 @@ EcoOutcome run_eco(const net::Network& impl, const net::Network& spec,
   return run_eco(problem, options);
 }
 
+void write_json(JsonWriter& w, const EngineStats& s) {
+  Counters c;
+  zip_counters(s, c, [](uint64_t flat, uint64_t& list) { list = flat; });
+  w.key("phases");
+  w.begin_object();
+  w.kv("window", s.window_seconds);
+  w.kv("qbf_feasibility", s.qbf_seconds);
+  w.kv("sat_path", s.sat_path_seconds);
+  w.kv("structural", s.structural_seconds);
+  w.kv("assemble", s.assemble_seconds);
+  w.kv("verify", s.verify_seconds);
+  w.end_object();
+  w.key("sat");
+  w.begin_object();
+  write_json(w, c.sat);
+  w.end_object();
+  w.key("sweep");
+  w.begin_object();
+  write_json(w, c.sweep);
+  w.kv("equiv_divisors", s.sweep_equiv_divisors);
+  w.end_object();
+  w.key("sim");
+  w.begin_object();
+  write_json(w, c.sim);
+  w.end_object();
+}
+
 std::string outcome_to_json(const EcoOutcome& outcome) {
   const auto verification_name = [](EcoOutcome::Verification v) {
     switch (v) {
@@ -1028,16 +1051,7 @@ std::string outcome_to_json(const EcoOutcome& outcome) {
   w.kv("patch_gates", outcome.patch_gates);
   w.kv("seconds", outcome.seconds);
 
-  w.key("phases");
-  w.begin_object();
-  w.kv("window", outcome.stats.window_seconds);
-  w.kv("qbf_feasibility", outcome.stats.qbf_seconds);
-  w.kv("sat_path", outcome.stats.sat_path_seconds);
-  w.kv("structural", outcome.stats.structural_seconds);
-  w.kv("assemble", outcome.stats.assemble_seconds);
-  w.kv("verify", outcome.stats.verify_seconds);
-  w.end_object();
-
+  write_json(w, outcome.stats);
   w.key("counts");
   w.begin_object();
   w.kv("qbf_iterations", outcome.stats.qbf_iterations);
@@ -1045,44 +1059,6 @@ std::string outcome_to_json(const EcoOutcome& outcome) {
   w.kv("satprune_sat_calls", outcome.stats.satprune_sat_calls);
   w.kv("satprune_iterations", outcome.stats.satprune_iterations);
   w.kv("targets_attempted", outcome.stats.targets_attempted);
-  w.end_object();
-
-  w.key("sat");
-  w.begin_object();
-  w.kv("solvers", outcome.stats.sat_solvers);
-  w.kv("solves", outcome.stats.sat_solves);
-  w.kv("decisions", outcome.stats.sat_decisions);
-  w.kv("propagations", outcome.stats.sat_propagations);
-  w.kv("conflicts", outcome.stats.sat_conflicts);
-  w.kv("restarts", outcome.stats.sat_restarts);
-  w.kv("prefix_reused_levels", outcome.stats.sat_prefix_reused_levels);
-  w.kv("propagations_saved", outcome.stats.sat_propagations_saved);
-  w.kv("restarts_blocked", outcome.stats.sat_restarts_blocked);
-  w.kv("learnts_core", outcome.stats.sat_learnts_core);
-  w.kv("learnts_tier2", outcome.stats.sat_learnts_tier2);
-  w.kv("learnts_local", outcome.stats.sat_learnts_local);
-  w.kv("par_escalations", outcome.stats.sat_par_escalations);
-  w.kv("par_portfolio", outcome.stats.sat_par_portfolio);
-  w.kv("par_wins", outcome.stats.sat_par_wins);
-  w.end_object();
-
-  w.key("sweep");
-  w.begin_object();
-  w.kv("classes", outcome.stats.sweep_classes);
-  w.kv("proofs", outcome.stats.sweep_proofs);
-  w.kv("refutes", outcome.stats.sweep_refutes);
-  w.kv("merges", outcome.stats.sweep_merges);
-  w.kv("cex_splits", outcome.stats.sweep_cex_splits);
-  w.kv("equiv_divisors", outcome.stats.sweep_equiv_divisors);
-  w.end_object();
-
-  w.key("sim");
-  w.begin_object();
-  w.kv("refuted_support", outcome.stats.sim_refuted_support);
-  w.kv("filtered_resub", outcome.stats.sim_filtered_resub);
-  w.kv("irredundant_hits", outcome.stats.sim_irredundant_hits);
-  w.kv("bank_patterns", outcome.stats.sim_bank_patterns);
-  w.kv("resim_nodes", outcome.stats.sim_resim_nodes);
   w.end_object();
 
   w.key("ladder");

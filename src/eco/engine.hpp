@@ -25,6 +25,7 @@
 #include "qbf/qbf2.hpp"
 #include "util/cancel.hpp"
 #include "util/ledger.hpp"
+#include "util/telemetry.hpp"
 
 namespace eco::util {
 class Executor;
@@ -159,45 +160,31 @@ struct EngineStats {
   // (telemetry::SolverTotalsAccumulator): every solver destroyed on the
   // run's threads is credited here, so the values are identical whether the
   // run executes alone or concurrently with other runs in the process.
-  uint64_t sat_solvers = 0;
-  uint64_t sat_solves = 0;
-  uint64_t sat_decisions = 0;
-  uint64_t sat_propagations = 0;
-  uint64_t sat_conflicts = 0;
-  uint64_t sat_restarts = 0;
-  // Incremental fast path + learnt tiering (sat/solver.hpp SolverStats).
-  uint64_t sat_prefix_reused_levels = 0;
-  uint64_t sat_propagations_saved = 0;
-  uint64_t sat_restarts_blocked = 0;
-  uint64_t sat_learnts_core = 0;
-  uint64_t sat_learnts_tier2 = 0;
-  uint64_t sat_learnts_local = 0;
-  // Intra-query parallel SAT (sat/parsolve.hpp); all zero with --par-sat=off.
-  uint64_t sat_par_escalations = 0;
-  uint64_t sat_par_portfolio = 0;
-  uint64_t sat_par_wins = 0;
+#define ECO_X(name) uint64_t sat_##name = 0;
+  ECO_SOLVER_TOTALS(ECO_X)
+#undef ECO_X
 
   // Simulation-bank filtering (eco/simfilter.hpp), summed over the run's
   // filters; all zero when the bank is disabled.
-  uint64_t sim_refuted_support = 0;   ///< support checks answered by the bank
-  uint64_t sim_filtered_resub = 0;    ///< resub dependency checks answered
-  uint64_t sim_irredundant_hits = 0;  ///< irredundancy SAT calls skipped
-  uint64_t sim_bank_patterns = 0;     ///< counterexamples recorded into banks
-  uint64_t sim_resim_nodes = 0;       ///< incremental re-simulation node-words
+#define ECO_X(name) uint64_t sim_##name = 0;
+  ECO_SIM_STATS(ECO_X)
+#undef ECO_X
 
   // SAT sweeping (cec/sweep.hpp), summed over the run's window divisor
   // discovery and sweeping verification; all zero with cec_mode == kMono.
-  uint64_t sweep_classes = 0;         ///< multi-member candidate classes
-  uint64_t sweep_proofs = 0;          ///< pairs proven equivalent by SAT
-  uint64_t sweep_refutes = 0;         ///< pairs refuted (model harvested)
-  uint64_t sweep_merges = 0;          ///< nodes merged (SAT + structural)
-  uint64_t sweep_cex_splits = 0;      ///< counterexamples folded into the bank
+#define ECO_X(name) uint64_t sweep_##name = 0;
+  ECO_SWEEP_STATS(ECO_X)
+#undef ECO_X
   uint64_t sweep_equiv_divisors = 0;  ///< divisors collapsed onto a cheaper twin
 
   /// Strategy-ladder log: one entry per attempt ("primary" first, then any
   /// escalation rungs). A single entry means no escalation happened.
   std::vector<LadderAttempt> ladder;
 };
+
+/// Writes the `phases`, `sat`, `sweep` and `sim` blocks of \p s into the
+/// open object of \p w (the outcome JSON and bench_table1's records).
+void write_json(JsonWriter& w, const EngineStats& s);
 
 /// Result of a full ECO run.
 struct EcoOutcome {

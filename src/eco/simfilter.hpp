@@ -31,6 +31,7 @@
 #include "aig/simbank.hpp"
 #include "eco/miter.hpp"
 #include "sop/cover.hpp"
+#include "util/jsonw.hpp"
 
 namespace eco::core {
 
@@ -53,14 +54,27 @@ struct SimFilterOptions {
   static void set_defaults(const SimFilterOptions& opts) noexcept;
 };
 
+/// The sim-bank counters as an X-macro list (docs/OBSERVABILITY.md).
+#define ECO_SIM_STATS(X)                                                      \
+  X(refuted_support)  /* support subset checks answered by the bank */        \
+  X(filtered_resub)   /* resub dependency checks answered by the bank */      \
+  X(irredundant_hits) /* irredundancy SAT calls skipped (witness found) */    \
+  X(bank_patterns)    /* counterexamples inserted into banks */               \
+  X(resim_nodes)      /* incremental re-simulation node-words */
+
 /// Counters of SAT work avoided; aggregated into EngineStats / telemetry.
 struct SimFilterStats {
-  uint64_t refuted_support = 0;    ///< support subset checks answered by the bank
-  uint64_t filtered_resub = 0;     ///< resub dependency checks answered by the bank
-  uint64_t irredundant_hits = 0;   ///< irredundancy SAT calls skipped (witness found)
-  uint64_t bank_patterns = 0;      ///< counterexamples inserted into banks
-  uint64_t resim_nodes = 0;        ///< incremental re-simulation node-words
+#define ECO_X(name) uint64_t name = 0;
+  ECO_SIM_STATS(ECO_X)
+#undef ECO_X
 };
+
+/// Writes `"name": value` per list entry into the open object of \p w.
+inline void write_json(JsonWriter& w, const SimFilterStats& s) {
+#define ECO_X(name) w.kv(#name, s.name);
+  ECO_SIM_STATS(ECO_X)
+#undef ECO_X
+}
 
 /// Simulation filter for one target's (quantified) ECO miter.
 class SimFilter {

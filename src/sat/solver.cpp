@@ -128,22 +128,9 @@ Solver::Solver(const SolverOptions& options) : opts_(options) {
 Solver::~Solver() {
   telemetry::SolverTotals t;
   t.solvers = 1;
-  t.solves = stats_.solves;
-  t.decisions = stats_.decisions;
-  t.propagations = stats_.propagations;
-  t.conflicts = stats_.conflicts;
-  t.restarts = stats_.restarts;
-  t.learnt_literals = stats_.learnts_literals;
-  t.db_reductions = stats_.db_reductions;
-  t.prefix_reused_levels = stats_.prefix_reused_levels;
-  t.propagations_saved = stats_.propagations_saved;
-  t.restarts_blocked = stats_.restarts_blocked;
-  t.learnts_core = stats_.learnts_core;
-  t.learnts_tier2 = stats_.learnts_tier2;
-  t.learnts_local = stats_.learnts_local;
-  t.par_escalations = stats_.par_escalations;
-  t.par_portfolio = stats_.par_portfolio;
-  t.par_wins = stats_.par_wins;
+#define ECO_X(name) t.name = stats_.name;
+  ECO_SOLVER_STATS(ECO_X)
+#undef ECO_X
   telemetry::add_solver_totals(t);
 }
 
@@ -489,7 +476,7 @@ void Solver::analyze(CRef confl, LitVec& out_learnt, int& out_btlevel, uint32_t&
     if (reason(out_learnt[i].var()) == kCRefUndef || !lit_redundant(out_learnt[i], abstract_level))
       out_learnt[keep++] = out_learnt[i];
   }
-  stats_.learnts_literals += out_learnt.size();
+  stats_.learnt_literals += out_learnt.size();
   out_learnt.resize(keep);
 
   // Find the backtrack level: the second-highest level in the clause.

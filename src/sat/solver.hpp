@@ -51,6 +51,7 @@
 #include <span>
 #include <vector>
 
+#include "sat/stats.hpp"
 #include "sat/types.hpp"
 #include "util/cancel.hpp"
 
@@ -124,30 +125,6 @@ struct SolverOptions {
   static const SolverOptions& defaults() noexcept;
   /// Replaces the process-wide defaults (call before creating solvers).
   static void set_defaults(const SolverOptions& opts) noexcept;
-};
-
-/// Aggregate solver statistics, readable at any time.
-struct SolverStats {
-  uint64_t decisions = 0;
-  uint64_t propagations = 0;
-  uint64_t conflicts = 0;
-  uint64_t restarts = 0;
-  uint64_t learnts_literals = 0;
-  uint64_t db_reductions = 0;
-  uint64_t solves = 0;
-  // Incremental fast path (see file comment).
-  uint64_t prefix_reused_levels = 0;   ///< assumption levels kept across solves
-  uint64_t propagations_saved = 0;     ///< trail literals retained, not re-propagated
-  uint64_t restarts_blocked = 0;       ///< EMA restarts postponed by trail blocking
-  // Learnt-clause tier admissions (cumulative, incl. promotions/demotions).
-  uint64_t learnts_core = 0;
-  uint64_t learnts_tier2 = 0;
-  uint64_t learnts_local = 0;
-  // Intra-query parallel SAT (sat/parsolve.hpp). Counted on the solver whose
-  // solve escalated; the worker clones' search stats stay on the clones.
-  uint64_t par_escalations = 0;  ///< solves that crossed the trigger
-  uint64_t par_portfolio = 0;    ///< escalations run as a portfolio race
-  uint64_t par_wins = 0;         ///< escalations that returned definitive
 };
 
 /// CDCL SAT solver.

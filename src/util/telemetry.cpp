@@ -188,44 +188,16 @@ TimerStat timer_value(std::string_view name) {
 // ---- solver rollup ------------------------------------------------------
 
 void SolverTotalsAccumulator::add(const SolverTotals& t) noexcept {
-  solvers_.fetch_add(t.solvers, std::memory_order_relaxed);
-  solves_.fetch_add(t.solves, std::memory_order_relaxed);
-  decisions_.fetch_add(t.decisions, std::memory_order_relaxed);
-  propagations_.fetch_add(t.propagations, std::memory_order_relaxed);
-  conflicts_.fetch_add(t.conflicts, std::memory_order_relaxed);
-  restarts_.fetch_add(t.restarts, std::memory_order_relaxed);
-  learnt_literals_.fetch_add(t.learnt_literals, std::memory_order_relaxed);
-  db_reductions_.fetch_add(t.db_reductions, std::memory_order_relaxed);
-  prefix_reused_levels_.fetch_add(t.prefix_reused_levels, std::memory_order_relaxed);
-  propagations_saved_.fetch_add(t.propagations_saved, std::memory_order_relaxed);
-  restarts_blocked_.fetch_add(t.restarts_blocked, std::memory_order_relaxed);
-  learnts_core_.fetch_add(t.learnts_core, std::memory_order_relaxed);
-  learnts_tier2_.fetch_add(t.learnts_tier2, std::memory_order_relaxed);
-  learnts_local_.fetch_add(t.learnts_local, std::memory_order_relaxed);
-  par_escalations_.fetch_add(t.par_escalations, std::memory_order_relaxed);
-  par_portfolio_.fetch_add(t.par_portfolio, std::memory_order_relaxed);
-  par_wins_.fetch_add(t.par_wins, std::memory_order_relaxed);
+#define ECO_X(name) name##_.fetch_add(t.name, std::memory_order_relaxed);
+  ECO_SOLVER_TOTALS(ECO_X)
+#undef ECO_X
 }
 
 SolverTotals SolverTotalsAccumulator::totals() const noexcept {
   SolverTotals t;
-  t.solvers = solvers_.load(std::memory_order_relaxed);
-  t.solves = solves_.load(std::memory_order_relaxed);
-  t.decisions = decisions_.load(std::memory_order_relaxed);
-  t.propagations = propagations_.load(std::memory_order_relaxed);
-  t.conflicts = conflicts_.load(std::memory_order_relaxed);
-  t.restarts = restarts_.load(std::memory_order_relaxed);
-  t.learnt_literals = learnt_literals_.load(std::memory_order_relaxed);
-  t.db_reductions = db_reductions_.load(std::memory_order_relaxed);
-  t.prefix_reused_levels = prefix_reused_levels_.load(std::memory_order_relaxed);
-  t.propagations_saved = propagations_saved_.load(std::memory_order_relaxed);
-  t.restarts_blocked = restarts_blocked_.load(std::memory_order_relaxed);
-  t.learnts_core = learnts_core_.load(std::memory_order_relaxed);
-  t.learnts_tier2 = learnts_tier2_.load(std::memory_order_relaxed);
-  t.learnts_local = learnts_local_.load(std::memory_order_relaxed);
-  t.par_escalations = par_escalations_.load(std::memory_order_relaxed);
-  t.par_portfolio = par_portfolio_.load(std::memory_order_relaxed);
-  t.par_wins = par_wins_.load(std::memory_order_relaxed);
+#define ECO_X(name) t.name = name##_.load(std::memory_order_relaxed);
+  ECO_SOLVER_TOTALS(ECO_X)
+#undef ECO_X
   return t;
 }
 
@@ -331,23 +303,7 @@ std::string snapshot_json() {
   w.end_object();
   w.key("sat");
   w.begin_object();
-  w.kv("solvers", s.solver.solvers);
-  w.kv("solves", s.solver.solves);
-  w.kv("decisions", s.solver.decisions);
-  w.kv("propagations", s.solver.propagations);
-  w.kv("conflicts", s.solver.conflicts);
-  w.kv("restarts", s.solver.restarts);
-  w.kv("learnt_literals", s.solver.learnt_literals);
-  w.kv("db_reductions", s.solver.db_reductions);
-  w.kv("prefix_reused_levels", s.solver.prefix_reused_levels);
-  w.kv("propagations_saved", s.solver.propagations_saved);
-  w.kv("restarts_blocked", s.solver.restarts_blocked);
-  w.kv("learnts_core", s.solver.learnts_core);
-  w.kv("learnts_tier2", s.solver.learnts_tier2);
-  w.kv("learnts_local", s.solver.learnts_local);
-  w.kv("par_escalations", s.solver.par_escalations);
-  w.kv("par_portfolio", s.solver.par_portfolio);
-  w.kv("par_wins", s.solver.par_wins);
+  write_json(w, s.solver);
   w.end_object();
   w.kv("trace_events", static_cast<uint64_t>(s.trace_events));
   w.kv("dropped_trace_events", static_cast<uint64_t>(s.dropped_trace_events));
@@ -422,13 +378,10 @@ void log_summary() {
              static_cast<unsigned long long>(v));
   for (const auto& [name, v] : s.gauges)
     log_info("telemetry: gauge %-40s %lld", name.c_str(), static_cast<long long>(v));
-  log_info("telemetry: sat totals: %llu solvers, %llu solves, %llu conflicts, "
-           "%llu propagations, %llu decisions",
-           static_cast<unsigned long long>(s.solver.solvers),
-           static_cast<unsigned long long>(s.solver.solves),
-           static_cast<unsigned long long>(s.solver.conflicts),
-           static_cast<unsigned long long>(s.solver.propagations),
-           static_cast<unsigned long long>(s.solver.decisions));
+#define ECO_X(name) \
+  log_info("telemetry: sat   %-40s %llu", #name, static_cast<unsigned long long>(s.solver.name));
+  ECO_SOLVER_TOTALS(ECO_X)
+#undef ECO_X
 }
 
 }  // namespace eco::telemetry

@@ -41,6 +41,9 @@
 #include <utility>
 #include <vector>
 
+#include "sat/stats.hpp"
+#include "util/jsonw.hpp"
+
 /// Compile-time master switch for the instrumentation macros below.
 /// Define ECO_TELEMETRY=0 (CMake: -DECOPATCH_TELEMETRY=OFF) to compile all
 /// instrumentation sites to nothing. The functions remain defined either
@@ -89,29 +92,22 @@ TimerStat timer_value(std::string_view name);
 
 // ---- SAT solver rollup (always on) --------------------------------------
 
+/// The solver list (sat/stats.hpp) plus the number of solvers rolled up.
+#define ECO_SOLVER_TOTALS(X) X(solvers) ECO_SOLVER_STATS(X)
+
 /// Process-lifetime totals over every sat::Solver ever destroyed.
 struct SolverTotals {
-  uint64_t solvers = 0;
-  uint64_t solves = 0;
-  uint64_t decisions = 0;
-  uint64_t propagations = 0;
-  uint64_t conflicts = 0;
-  uint64_t restarts = 0;
-  uint64_t learnt_literals = 0;
-  uint64_t db_reductions = 0;
-  // Incremental fast path (assumption-prefix trail reuse, sat/solver.hpp).
-  uint64_t prefix_reused_levels = 0;
-  uint64_t propagations_saved = 0;
-  uint64_t restarts_blocked = 0;
-  // Learnt-clause tier admissions (core/tier2/local).
-  uint64_t learnts_core = 0;
-  uint64_t learnts_tier2 = 0;
-  uint64_t learnts_local = 0;
-  // Intra-query parallel SAT (sat/parsolve.hpp).
-  uint64_t par_escalations = 0;  ///< solves that crossed the trigger
-  uint64_t par_portfolio = 0;    ///< escalations resolved by portfolio
-  uint64_t par_wins = 0;         ///< escalations that returned definitive
+#define ECO_X(name) uint64_t name = 0;
+  ECO_SOLVER_TOTALS(ECO_X)
+#undef ECO_X
 };
+
+/// Writes `"name": value` per list entry into the open object of \p w.
+inline void write_json(JsonWriter& w, const SolverTotals& t) {
+#define ECO_X(name) w.kv(#name, t.name);
+  ECO_SOLVER_TOTALS(ECO_X)
+#undef ECO_X
+}
 
 /// Called by sat::Solver's destructor; cheap unconditional atomic adds.
 /// Besides the process-wide rollup, the totals are credited to the
@@ -137,11 +133,9 @@ class SolverTotalsAccumulator {
   SolverTotals totals() const noexcept;
 
  private:
-  std::atomic<uint64_t> solvers_{0}, solves_{0}, decisions_{0}, propagations_{0},
-      conflicts_{0}, restarts_{0}, learnt_literals_{0}, db_reductions_{0},
-      prefix_reused_levels_{0}, propagations_saved_{0}, restarts_blocked_{0},
-      learnts_core_{0}, learnts_tier2_{0}, learnts_local_{0},
-      par_escalations_{0}, par_portfolio_{0}, par_wins_{0};
+#define ECO_X(name) std::atomic<uint64_t> name##_{0};
+  ECO_SOLVER_TOTALS(ECO_X)
+#undef ECO_X
 };
 
 /// The accumulator of the innermost open ScopedSolverCapture on the calling

@@ -287,13 +287,18 @@ TEST(Engine, ConcurrentRunsKeepExactPerRunSatAttribution) {
     EXPECT_EQ(conc[i].total_cost, solo[i].total_cost);
     EXPECT_EQ(conc[i].patch_gates, solo[i].patch_gates);
     EXPECT_EQ(conc[i].method, solo[i].method);
-    EXPECT_EQ(conc[i].stats.sat_solvers, solo[i].stats.sat_solvers) << "problem " << i;
-    EXPECT_EQ(conc[i].stats.sat_solves, solo[i].stats.sat_solves) << "problem " << i;
-    EXPECT_EQ(conc[i].stats.sat_decisions, solo[i].stats.sat_decisions) << "problem " << i;
-    EXPECT_EQ(conc[i].stats.sat_propagations, solo[i].stats.sat_propagations) << "problem " << i;
-    EXPECT_EQ(conc[i].stats.sat_conflicts, solo[i].stats.sat_conflicts) << "problem " << i;
-    EXPECT_EQ(conc[i].stats.sat_restarts, solo[i].stats.sat_restarts) << "problem " << i;
-    EXPECT_GT(conc[i].stats.sat_solvers, 0u);
+    const EngineStats& c = conc[i].stats;
+    const EngineStats& s = solo[i].stats;
+#define ECO_X(name) EXPECT_EQ(c.sat_##name, s.sat_##name) << "problem " << i << " sat " #name;
+    ECO_SOLVER_TOTALS(ECO_X)
+#undef ECO_X
+#define ECO_X(name) EXPECT_EQ(c.sweep_##name, s.sweep_##name) << "problem " << i << " sweep " #name;
+    ECO_SWEEP_STATS(ECO_X)
+#undef ECO_X
+#define ECO_X(name) EXPECT_EQ(c.sim_##name, s.sim_##name) << "problem " << i << " sim " #name;
+    ECO_SIM_STATS(ECO_X)
+#undef ECO_X
+    EXPECT_GT(c.sat_solvers, 0u);
   }
 }
 

@@ -15,9 +15,11 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "eco/engine.hpp"
 #include "sat/solver.hpp"
 #include "util/jsonw.hpp"
 
@@ -309,18 +311,52 @@ TEST_F(TelemetryTest, ThreadSafetySmoke) {
 }
 
 TEST_F(TelemetryTest, SolverStatsRollIntoTotals) {
+  // Pigeonhole php(6,5) behind a selector, with small reduction intervals
+  // and eager EMA blocking, then assumption solves sharing a prefix: every
+  // listed counter but the parallel-SAT ones ends up nonzero, so a roll-up
+  // that drops a field fails the comparison below. (Parallel escalation
+  // would credit its clones' stats to the capture too.)
+  eco::sat::SolverOptions opts;
+  opts.restart = eco::sat::RestartPolicy::kEma;
+  opts.blocking_margin = 0.5;
+  opts.local_cap_base = 50;
+  opts.tier2_shrink_interval = 100;
+  opts.tier2_unused_demote = 100;
   const tel::SolverTotals before = tel::solver_totals();
+  tel::SolverTotalsAccumulator acc;
+  eco::sat::SolverStats own;
   {
-    eco::sat::Solver solver;
-    const eco::sat::Var a = solver.new_var();
-    const eco::sat::Var b = solver.new_var();
-    solver.add_clause({eco::sat::mk_lit(a), eco::sat::mk_lit(b)});
-    solver.add_clause({~eco::sat::mk_lit(a), eco::sat::mk_lit(b)});
-    EXPECT_TRUE(solver.solve().is_true());
+    const tel::ScopedSolverCapture capture(acc);
+    eco::sat::Solver solver(opts);
+    const int holes = 6, pigeons = holes + 1;
+    std::vector<eco::sat::Lit> x;
+    for (int i = 0; i < pigeons * holes; ++i) x.push_back(eco::sat::mk_lit(solver.new_var()));
+    const eco::sat::Lit sel = eco::sat::mk_lit(solver.new_var());
+    for (int p = 0; p < pigeons; ++p) {
+      std::vector<eco::sat::Lit> clause{~sel};
+      for (int h = 0; h < holes; ++h) clause.push_back(x[p * holes + h]);
+      solver.add_clause(clause);
+    }
+    for (int h = 0; h < holes; ++h)
+      for (int p1 = 0; p1 < pigeons; ++p1)
+        for (int p2 = p1 + 1; p2 < pigeons; ++p2)
+          solver.add_clause({~x[p1 * holes + h], ~x[p2 * holes + h]});
+    EXPECT_TRUE(solver.solve({sel}).is_false());
+    for (int i = 0; i < 4; ++i) EXPECT_TRUE(solver.solve({~sel, x[0], x[7 + i]}).is_true());
+    own = solver.stats();
   }  // destructor publishes the stats
+  const tel::SolverTotals t = acc.totals();
+  EXPECT_EQ(t.solvers, 1u);
+#define ECO_X(name)                                   \
+  EXPECT_EQ(t.name, own.name) << #name;               \
+  if (!std::string_view(#name).starts_with("par_")) { \
+    EXPECT_GT(own.name, 0u) << #name;                 \
+  }
+  ECO_SOLVER_STATS(ECO_X)
+#undef ECO_X
   const tel::SolverTotals after = tel::solver_totals();
   EXPECT_EQ(after.solvers, before.solvers + 1);
-  EXPECT_EQ(after.solves, before.solves + 1);
+  EXPECT_EQ(after.solves, before.solves + own.solves);
 }
 
 TEST_F(TelemetryTest, ScopedSolverCaptureCreditsInnermostAccumulator) {
@@ -389,15 +425,27 @@ TEST_F(TelemetryTest, SnapshotJsonRoundTrips) {
 
   const JsonValue* sat = root.find("sat");
   ASSERT_NE(sat, nullptr);
-  EXPECT_NE(sat->find("conflicts"), nullptr);
-  EXPECT_NE(sat->find("propagations"), nullptr);
-  // Incremental fast-path counters (schema-additive in v1).
-  EXPECT_NE(sat->find("prefix_reused_levels"), nullptr);
-  EXPECT_NE(sat->find("propagations_saved"), nullptr);
-  EXPECT_NE(sat->find("restarts_blocked"), nullptr);
-  EXPECT_NE(sat->find("learnts_core"), nullptr);
-  EXPECT_NE(sat->find("learnts_tier2"), nullptr);
-  EXPECT_NE(sat->find("learnts_local"), nullptr);
+#define ECO_X(name) EXPECT_NE(sat->find(#name), nullptr) << #name;
+  ECO_SOLVER_TOTALS(ECO_X)
+#undef ECO_X
+
+  // The outcome JSON writes the same lists through the same writers.
+  JsonValue outcome;
+  const std::string outcome_text = eco::core::outcome_to_json(eco::core::EcoOutcome{});
+  ASSERT_TRUE(JsonParser(outcome_text).parse(outcome)) << outcome_text;
+  const JsonValue* osat = outcome.find("sat");
+  const JsonValue* osweep = outcome.find("sweep");
+  const JsonValue* osim = outcome.find("sim");
+  ASSERT_TRUE(osat != nullptr && osweep != nullptr && osim != nullptr) << outcome_text;
+#define ECO_X(name) EXPECT_NE(osat->find(#name), nullptr) << #name;
+  ECO_SOLVER_TOTALS(ECO_X)
+#undef ECO_X
+#define ECO_X(name) EXPECT_NE(osweep->find(#name), nullptr) << #name;
+  ECO_SWEEP_STATS(ECO_X)
+#undef ECO_X
+#define ECO_X(name) EXPECT_NE(osim->find(#name), nullptr) << #name;
+  ECO_SIM_STATS(ECO_X)
+#undef ECO_X
 }
 
 TEST_F(TelemetryTest, TraceJsonRoundTripsAsCatapultFormat) {

@@ -17,7 +17,8 @@
 ///     timing and counter metrics regress past per-metric relative
 ///     thresholds with absolute floors that discard measurement noise.
 ///     Exit 0 when clean (or --warn-only), 1 on regression, 2 on a
-///     schema/usage error.
+///     schema/usage error, including a metric the baseline run has and the
+///     new run lacks.
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
@@ -31,6 +32,8 @@
 
 #include "util/jsonr.hpp"
 #include "util/ledger.hpp"
+#include "util/numparse.hpp"
+#include "util/telemetry.hpp"
 
 namespace {
 
@@ -92,13 +95,14 @@ int cmd_report(int argc, char** argv) {
   if (argc < 1) return usage();
   const std::string path = argv[0];
   size_t top_k = 10;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-      top_k = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else {
-      std::fprintf(stderr, "ecoprof: unknown report option '%s'\n", argv[i]);
+  for (int i = 1; i < argc; i += 2) {
+    // argv[argc] is null, so a trailing "--top" fails parse_u64.
+    uint64_t k = 0;
+    if (std::strcmp(argv[i], "--top") != 0 || !eco::util::parse_u64(argv[i + 1], k)) {
+      std::fprintf(stderr, "ecoprof: bad report option '%s' (want --top K)\n", argv[i]);
       return usage();
     }
+    top_k = static_cast<size_t>(k);
   }
 
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -311,6 +315,14 @@ std::map<std::string, NoisePolicy> default_policies() {
   };
 }
 
+/// True for the metrics that live under a run's `sat` object.
+bool in_sat_block(const std::string& metric) {
+#define ECO_X(name) if (metric == #name) return true;
+  ECO_SOLVER_TOTALS(ECO_X)
+#undef ECO_X
+  return false;
+}
+
 struct DiffStats {
   int regressions = 0;
   int improvements = 0;
@@ -356,9 +368,8 @@ int cmd_diff(int argc, char** argv) {
         std::fprintf(stderr, "ecoprof: unknown metric '%s' in --threshold\n", metric.c_str());
         return 2;
       }
-      char* end = nullptr;
-      const double frac = std::strtod(spec.c_str() + eq + 1, &end);
-      if (end == nullptr || *end != '\0' || frac < 0) {
+      double frac = 0;
+      if (!eco::util::parse_double(spec.c_str() + eq + 1, frac) || frac < 0) {
         std::fprintf(stderr, "ecoprof: bad fraction in --threshold '%s'\n", spec.c_str());
         return 2;
       }
@@ -450,13 +461,18 @@ int cmd_diff(int argc, char** argv) {
       if (g_new > g_old) report_regression(st, key, "gates", fmt_num(g_old), fmt_num(g_new));
     }
 
-    // Noisy metrics, relative thresholds with floors.
+    // Noisy metrics, relative thresholds with floors. A metric the baseline
+    // run has must not vanish: a dropped block would otherwise compare clean.
     for (const auto& [metric, pol] : policies) {
-      const bool nested = metric == "conflicts" || metric == "decisions" ||
-                          metric == "propagations";
+      const bool nested = in_sat_block(metric);
       const JsonValue& ov = nested ? orun["sat"][metric] : orun[metric];
       const JsonValue& nv = nested ? nr["sat"][metric] : nr[metric];
-      if (!ov.is_number() || !nv.is_number()) continue;
+      if (!ov.is_number()) continue;
+      if (!nv.is_number()) {
+        std::fprintf(stderr, "ecoprof: %s: run %s has no numeric %s%s (the baseline has)\n",
+                     new_path.c_str(), key.c_str(), nested ? "sat." : "", metric.c_str());
+        return 2;
+      }
       ++st.compared;
       const double o = ov.as_number(), nw = nv.as_number();
       if (o < pol.min_base) continue;  // too small to measure reliably
