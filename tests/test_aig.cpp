@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "aig/aig.hpp"
 #include "aig/ops.hpp"
@@ -220,6 +224,39 @@ TEST(AigOps, TransferThrowsOnUnmappedPi) {
   EXPECT_THROW(transfer(src, dst, roots, map), std::invalid_argument);
 }
 
+TEST(AigOps, TransferThrowLeavesMapUnchanged) {
+  Aig src;
+  const Lit a = src.add_pi("a");
+  const Lit b = src.add_pi("b");
+  const Lit c = src.add_pi("c");
+  const Lit ab = src.add_and(a, b);
+  const Lit cut = src.add_or(ab, lit_not(b));
+  const Lit reach = src.add_or(cut, ab);
+  const Lit root = src.add_and(reach, src.add_xor(cut, c));
+  Aig dst;
+  const Lit p = dst.add_pi("p");
+  const Lit q = dst.add_pi("q");
+  const Lit r = dst.add_pi("r");
+  // PIs a and b plus one AND node preset, the way build_patch_module cuts
+  // patch cones at divisor nodes; PI c stays unmapped.
+  std::vector<Lit> map(src.num_nodes(), kLitInvalid);
+  map[0] = kLitFalse;
+  map[lit_node(a)] = p;
+  map[lit_node(b)] = q;
+  map[lit_node(cut)] = lit_notif(r, lit_compl(cut));
+  const std::vector<Lit> before = map;
+  const uint32_t dst_nodes = dst.num_nodes();
+  const Lit roots[] = {root};
+  EXPECT_THROW(transfer(src, dst, roots, map), std::invalid_argument);
+  EXPECT_EQ(map, before);
+  EXPECT_EQ(dst.num_nodes(), dst_nodes);
+  // A valid follow-up call on the same map succeeds: reach = r | (p & q).
+  const Lit ok_roots[] = {reach};
+  const std::vector<Lit> out = transfer(src, dst, ok_roots, map);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(truth_table(dst, out[0]), truth_table(dst, dst.add_or(r, dst.add_and(p, q))));
+}
+
 TEST(AigOps, ExtractConeKeepsInterface) {
   Aig g;
   const Lit a = g.add_pi("a");
@@ -342,6 +379,144 @@ TEST_P(AigRandomTest, CleanupPreservesFunctions) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AigRandomTest, ::testing::Range(0, 10));
+
+// ---- transfer differential -----------------------------------------------
+
+/// The original transfer: marks the cone in an array the size of src and
+/// scans every node. Kept as the reference the cone-sized transfer must
+/// match literal for literal and node for node.
+std::vector<Lit> reference_transfer(const Aig& src, Aig& dst, std::span<const Lit> roots,
+                                    std::vector<Lit>& map) {
+  map.resize(src.num_nodes(), kLitInvalid);
+  map[0] = kLitFalse;
+  std::vector<uint8_t> need(src.num_nodes(), 0);
+  std::vector<Node> stack;
+  for (const Lit r : roots) stack.push_back(lit_node(r));
+  while (!stack.empty()) {
+    const Node n = stack.back();
+    stack.pop_back();
+    if (need[n] || map[n] != kLitInvalid) continue;
+    need[n] = 1;
+    if (src.is_and(n)) {
+      stack.push_back(lit_node(src.fanin0(n)));
+      stack.push_back(lit_node(src.fanin1(n)));
+    } else if (src.is_pi(n)) {
+      throw std::invalid_argument("transfer: PI node " + std::to_string(n) +
+                                  " has no preset mapping");
+    }
+  }
+  for (Node n = 1; n < src.num_nodes(); ++n) {
+    if (!need[n] || !src.is_and(n)) continue;
+    const Lit a = src.fanin0(n);
+    const Lit b = src.fanin1(n);
+    map[n] = dst.add_and(lit_notif(map[lit_node(a)], lit_compl(a)),
+                         lit_notif(map[lit_node(b)], lit_compl(b)));
+  }
+  std::vector<Lit> out;
+  out.reserve(roots.size());
+  for (const Lit r : roots) out.push_back(lit_notif(map[lit_node(r)], lit_compl(r)));
+  return out;
+}
+
+Aig random_aig(Rng& rng, int num_pis, int num_ands) {
+  Aig g;
+  std::vector<Lit> pool;
+  for (int i = 0; i < num_pis; ++i) pool.push_back(g.add_pi());
+  for (int i = 0; i < num_ands; ++i) {
+    // Favour recent nodes so the graph gets deep as well as wide.
+    const size_t lo = rng.chance(1, 2) ? pool.size() - std::min<size_t>(pool.size(), 16) : 0;
+    const Lit x = pool[lo + rng.below(pool.size() - lo)];
+    const Lit y = pool[rng.below(pool.size())];
+    pool.push_back(g.add_and(lit_notif(x, rng.chance(1, 2)), lit_notif(y, rng.chance(1, 2))));
+  }
+  return g;
+}
+
+std::vector<Lit> random_roots(Rng& rng, const Aig& g) {
+  std::vector<Lit> roots(1 + rng.below(6));
+  for (Lit& r : roots) r = lit_make(static_cast<Node>(rng.below(g.num_nodes())), rng.chance(1, 2));
+  return roots;
+}
+
+void expect_same_aig(const Aig& a, const Aig& b) {
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  ASSERT_EQ(a.num_pis(), b.num_pis());
+  for (Node n = a.num_pis() + 1; n < a.num_nodes(); ++n) {
+    EXPECT_EQ(a.fanin0(n), b.fanin0(n)) << "node " << n;
+    EXPECT_EQ(a.fanin1(n), b.fanin1(n)) << "node " << n;
+  }
+}
+
+/// Runs transfer and the reference on twin (dst, map) states and checks that
+/// both return the same literals (or both throw) and leave the same state.
+void expect_transfer_matches(const Aig& src, std::span<const Lit> roots, Aig& dst,
+                             std::vector<Lit>& map, Aig& ref_dst, std::vector<Lit>& ref_map) {
+  std::vector<Lit> got, want;
+  bool threw = false, ref_threw = false;
+  try {
+    got = transfer(src, dst, roots, map);
+  } catch (const std::invalid_argument&) {
+    threw = true;
+  }
+  try {
+    want = reference_transfer(src, ref_dst, roots, ref_map);
+  } catch (const std::invalid_argument&) {
+    ref_threw = true;
+  }
+  EXPECT_EQ(threw, ref_threw);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(map, ref_map);
+  expect_same_aig(dst, ref_dst);
+}
+
+void check_transfer_against_reference(uint64_t seed) {
+  Rng rng(seed);
+  const int num_pis = 2 + static_cast<int>(rng.below(10));
+  const Aig src = random_aig(rng, num_pis, 10 + static_cast<int>(rng.below(300)));
+  Aig dst;
+  for (int i = 0; i < 4; ++i) dst.add_pi();
+  Aig ref_dst = dst;
+
+  // One map shared by several calls: PIs preset (a few dropped or sent to
+  // constants), plus some AND nodes preset as cuts onto dst PIs.
+  std::vector<Lit> map(src.num_nodes(), kLitInvalid);
+  map[0] = kLitFalse;
+  for (uint32_t i = 0; i < src.num_pis(); ++i) {
+    if (rng.chance(1, 12)) continue;
+    map[src.pi_node(i)] = rng.chance(1, 8) ? static_cast<Lit>(rng.below(2))
+                                           : lit_make(1 + rng.below(4), rng.chance(1, 2));
+  }
+  const uint64_t cut_den = 1 + rng.below(20);
+  for (Node n = src.num_pis() + 1; n < src.num_nodes(); ++n)
+    if (rng.chance(1, cut_den)) map[n] = lit_make(1 + rng.below(4), rng.chance(1, 2));
+  std::vector<Lit> ref_map = map;
+
+  const int calls = 1 + static_cast<int>(rng.below(5));
+  for (int c = 0; c < calls; ++c) {
+    const std::vector<Lit> roots = random_roots(rng, src);
+    expect_transfer_matches(src, roots, dst, map, ref_dst, ref_map);
+  }
+  // Whole-graph transfer over the same map, then into a fresh map with
+  // every PI mapped (the append pattern).
+  std::vector<Lit> all;
+  for (Node n = 0; n < src.num_nodes(); ++n) all.push_back(lit_make(n));
+  expect_transfer_matches(src, all, dst, map, ref_dst, ref_map);
+  std::vector<Lit> fresh(src.num_nodes(), kLitInvalid), ref_fresh;
+  fresh[0] = kLitFalse;
+  for (uint32_t i = 0; i < src.num_pis(); ++i) fresh[src.pi_node(i)] = lit_make(1 + i % 4);
+  ref_fresh = fresh;
+  expect_transfer_matches(src, random_roots(rng, src), dst, fresh, ref_dst, ref_fresh);
+  expect_transfer_matches(src, all, dst, fresh, ref_dst, ref_fresh);
+}
+
+// Random AIGs with random root sets, PI maps with gaps and constants, AND
+// nodes preset as cuts, and several calls sharing one map and one dst.
+TEST(AigOps, TransferMatchesReference) {
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    check_transfer_against_reference(seed);
+  }
+}
 
 }  // namespace
 }  // namespace eco::aig
