@@ -1,6 +1,7 @@
 // bench_substrates: microbenchmarks of the library substrates — CDCL SAT
-// solving, AIG construction/strashing, cone transfer, structural pruning,
-// Tseitin encoding + equivalence checking, max-flow, and SOP factoring.
+// solving, AIG construction/strashing/copying, elaboration, cone transfer,
+// structural pruning, Tseitin encoding + equivalence checking, max-flow, and
+// SOP factoring.
 // These calibrate the absolute runtimes reported by bench_table1 on this
 // machine.
 
@@ -15,6 +16,7 @@
 #include "eco/problem.hpp"
 #include "eco/window.hpp"
 #include "flow/maxflow.hpp"
+#include "net/elaborate.hpp"
 #include "sat/solver.hpp"
 #include "sop/factor.hpp"
 #include "util/executor.hpp"
@@ -113,18 +115,47 @@ void BM_AigStrash(benchmark::State& state) {
 }
 BENCHMARK(BM_AigStrash)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
 
-// Structural pruning and cone transfer on suite units at scale 16 (the
-// fresh_sessions size); Arg is the make_unit index. Problems are built once
-// per process and shared by the three benchmarks.
+// Suite units at scale 16 (the fresh_sessions size); Arg is the make_unit
+// index. Units and problems are built once per process and shared by the
+// benchmarks below.
+const eco::benchgen::EcoUnit& scale16_unit(int index) {
+  static std::map<int, eco::benchgen::EcoUnit> cache;
+  auto it = cache.find(index);
+  if (it == cache.end())
+    it = cache.emplace(index, eco::benchgen::make_unit(index, 20170912, 16)).first;
+  return it->second;
+}
+
 const eco::core::EcoProblem& scale16_problem(int index) {
   static std::map<int, eco::core::EcoProblem> cache;
   auto it = cache.find(index);
   if (it == cache.end()) {
-    const eco::benchgen::EcoUnit u = eco::benchgen::make_unit(index, 20170912, 16);
+    const eco::benchgen::EcoUnit& u = scale16_unit(index);
     it = cache.emplace(index, eco::core::make_problem(u.impl, u.spec, u.weights)).first;
   }
   return it->second;
 }
+
+// Copy and destruction of an implementation AIG, as in `work = problem.impl`.
+void BM_AigCopy(benchmark::State& state) {
+  const eco::aig::Aig& impl = scale16_problem(static_cast<int>(state.range(0))).impl;
+  for (auto _ : state) {
+    eco::aig::Aig copy = impl;
+    benchmark::DoNotOptimize(copy.num_nodes());
+  }
+  state.SetItemsProcessed(state.iterations() * impl.num_ands());
+}
+BENCHMARK(BM_AigCopy)->Arg(1)->Arg(14)->Unit(benchmark::kMicrosecond);
+
+// Elaboration of the implementation and specification netlists into AIGs.
+void BM_Elaborate(benchmark::State& state) {
+  const eco::benchgen::EcoUnit& u = scale16_unit(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eco::net::elaborate(u.impl).aig.num_nodes());
+    benchmark::DoNotOptimize(eco::net::elaborate(u.spec).aig.num_nodes());
+  }
+}
+BENCHMARK(BM_Elaborate)->Arg(1)->Arg(14)->Unit(benchmark::kMillisecond);
 
 void BM_ComputeWindow(benchmark::State& state) {
   const eco::core::EcoProblem& p = scale16_problem(static_cast<int>(state.range(0)));

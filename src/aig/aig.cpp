@@ -1,9 +1,25 @@
 #include "aig/aig.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
-#include <functional>
+#include <utility>
 
 namespace eco::aig {
+
+namespace {
+
+/// Capacity of the structural hash at the first AND node.
+constexpr size_t kMinStrashSlots = 64;
+
+/// Home slot of the key (a, b) in a table of \p slots (a power of two):
+/// the top bits of the key times 2^64 / golden ratio.
+size_t strash_slot(Lit a, Lit b, size_t slots) noexcept {
+  const uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
+  return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> (64 - std::countr_zero(slots)));
+}
+
+}  // namespace
 
 Aig::Aig() {
   // Node 0: constant false.
@@ -29,13 +45,27 @@ Lit Aig::add_and(Lit a, Lit b) {
   if (b == kLitTrue) return a;
   if (a == b) return a;
   if (a > b) std::swap(a, b);
-  const uint64_t k = key(a, b);
-  if (const auto it = strash_.find(k); it != strash_.end()) return lit_make(it->second);
+  // Room for one more AND at most half full, so every probe ends at a gap.
+  if (2 * (static_cast<size_t>(num_ands()) + 1) > strash_.size()) grow_strash();
+  const size_t mask = strash_.size() - 1;
+  size_t i = strash_slot(a, b, strash_.size());
+  for (Node m; (m = strash_[i]) != 0; i = (i + 1) & mask)
+    if (fanin0_[m] == a && fanin1_[m] == b) return lit_make(m);
   const Node n = num_nodes();
   fanin0_.push_back(a);
   fanin1_.push_back(b);
-  strash_.emplace(k, n);
+  strash_[i] = n;
   return lit_make(n);
+}
+
+void Aig::grow_strash() {
+  strash_.assign(std::max(kMinStrashSlots, 2 * strash_.size()), 0);
+  const size_t mask = strash_.size() - 1;
+  for (Node n = num_pis_ + 1; n < num_nodes(); ++n) {
+    size_t i = strash_slot(fanin0_[n], fanin1_[n], strash_.size());
+    while (strash_[i] != 0) i = (i + 1) & mask;
+    strash_[i] = n;
+  }
 }
 
 Lit Aig::add_and_multi(std::span<const Lit> lits) {

@@ -10,13 +10,14 @@
 ///    constant true;
 ///  - AND nodes are structurally hashed and locally simplified at creation,
 ///    so sharing is maximal by construction and trivial ANDs never exist.
+///    The hash is one open-addressing array of node indices beside the two
+///    fanin arrays, so a copy of an Aig copies three flat arrays.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace eco::aig {
@@ -119,10 +120,8 @@ class Aig {
   Aig cleanup() const;
 
  private:
-  uint64_t key(Lit a, Lit b) const noexcept {
-    if (a > b) std::swap(a, b);
-    return (static_cast<uint64_t>(a) << 32) | b;
-  }
+  /// Doubles the structural hash and reinserts every AND node in index order.
+  void grow_strash();
 
   uint32_t num_pis_ = 0;
   std::vector<Lit> fanin0_;  // per node; kLitInvalid for PIs
@@ -130,7 +129,11 @@ class Aig {
   std::vector<Lit> pos_;
   std::vector<std::string> pi_names_;
   std::vector<std::string> po_names_;
-  std::unordered_map<uint64_t, Node> strash_;
+  /// Structural hash: linear probing over AND node indices, 0 marking an
+  /// empty slot (node 0 is never an AND). A slot's key (fanin0, fanin1) is
+  /// read back from its node; the capacity is a power of two (or 0 before
+  /// the first AND) and the table is kept at most half full.
+  std::vector<Node> strash_;
 };
 
 }  // namespace eco::aig

@@ -1,9 +1,9 @@
 #include "eco/simfilter.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
-#include <unordered_map>
 
 #include "util/telemetry.hpp"
 
@@ -36,23 +36,15 @@ aig::SimBankOptions bank_options(const SimFilterOptions& o) {
   return b;
 }
 
-struct SigHash {
-  size_t operator()(const std::vector<uint64_t>& v) const noexcept {
-    uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (const uint64_t w : v) {
-      h ^= w + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    }
-    return static_cast<size_t>(h);
-  }
-};
+}  // namespace
 
-/// Searches for a pattern pair — one index with its bit set in \p on, one in
-/// \p off — whose signatures over \p lits (bank literals) are equal. Such a
-/// pair is exactly a model of the corresponding two-copy SAT instance.
 std::optional<std::pair<uint32_t, uint32_t>> indistinguishable_pair(
-    aig::SimBank& bank, const std::vector<uint64_t>& on,
-    const std::vector<uint64_t>& off, std::span<const aig::Lit> lits) {
+    aig::SimBank& bank, std::span<const uint64_t> on, std::span<const uint64_t> off,
+    std::span<const aig::Lit> lits) {
   const size_t words = bank.num_words();
+  size_t num_on = 0;
+  for (size_t w = 0; w < words; ++w) num_on += static_cast<size_t>(std::popcount(on[w]));
+  if (num_on == 0) return std::nullopt;
   // Row pointers + complement masks, resolved once (spans are stable: the
   // bank is synced and not grown inside this function).
   std::vector<std::span<const uint64_t>> rows;
@@ -64,33 +56,54 @@ std::optional<std::pair<uint32_t, uint32_t>> indistinguishable_pair(
     compl_mask.push_back(aig::lit_compl(l) ? ~0ULL : 0ULL);
   }
   const size_t sig_words = lits.size() / 64 + 1;
-  std::vector<uint64_t> sig(sig_words);
-  const auto signature_of = [&](uint32_t p) {
-    std::fill(sig.begin(), sig.end(), 0);
+  const auto write_signature = [&](uint32_t p, uint64_t* sig) {
+    std::fill(sig, sig + sig_words, 0);
     const size_t w = p / 64;
     const uint32_t b = p % 64;
     for (size_t j = 0; j < rows.size(); ++j)
       sig[j / 64] |= (((rows[j][w] ^ compl_mask[j]) >> b) & 1ULL) << (j % 64);
-    return sig;
   };
 
-  std::unordered_map<std::vector<uint64_t>, uint32_t, SigHash> on_sigs;
+  // One signature row per distinct on-set signature, owned by the first
+  // on-set pattern that has it, plus a last row for the probe key. The
+  // index is open addressing over row numbers, at most half full.
+  std::vector<uint64_t> sigs((num_on + 1) * sig_words);
+  std::vector<uint32_t> owner(num_on);
+  constexpr uint32_t kEmpty = UINT32_MAX;
+  const size_t slots = std::bit_ceil(2 * num_on);
+  std::vector<uint32_t> index(slots, kEmpty);
+  const int shift = 64 - std::countr_zero(slots);
+  // The slot holding \p sig's row, or the empty slot where it belongs.
+  const auto find = [&](const uint64_t* sig) {
+    uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (size_t k = 0; k < sig_words; ++k) h = (h ^ sig[k]) * 0xff51afd7ed558ccdULL;
+    size_t i = static_cast<size_t>((h * 0x9e3779b97f4a7c15ULL) >> shift);
+    while (index[i] != kEmpty &&
+           !std::equal(sig, sig + sig_words, &sigs[index[i] * sig_words]))
+      i = (i + 1) & (slots - 1);
+    return i;
+  };
+
+  uint32_t num_rows = 0;
   for (size_t w = 0; w < words; ++w)
     for (uint64_t bits = on[w]; bits != 0; bits &= bits - 1) {
       const uint32_t p = static_cast<uint32_t>(w * 64 + __builtin_ctzll(bits));
-      on_sigs.emplace(signature_of(p), p);
+      write_signature(p, &sigs[num_rows * sig_words]);
+      const size_t i = find(&sigs[num_rows * sig_words]);
+      if (index[i] != kEmpty) continue;
+      index[i] = num_rows;
+      owner[num_rows++] = p;
     }
-  if (on_sigs.empty()) return std::nullopt;
+  uint64_t* const key = &sigs[num_rows * sig_words];
   for (size_t w = 0; w < words; ++w)
     for (uint64_t bits = off[w]; bits != 0; bits &= bits - 1) {
       const uint32_t p = static_cast<uint32_t>(w * 64 + __builtin_ctzll(bits));
-      const auto it = on_sigs.find(signature_of(p));
-      if (it != on_sigs.end()) return std::make_pair(it->second, p);
+      write_signature(p, key);
+      const size_t i = find(key);
+      if (index[i] != kEmpty) return std::make_pair(owner[index[i]], p);
     }
   return std::nullopt;
 }
-
-}  // namespace
 
 const SimFilterOptions& SimFilterOptions::defaults() noexcept { return mutable_defaults(); }
 

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "aig/simbank.hpp"
@@ -75,6 +76,16 @@ inline void write_json(JsonWriter& w, const SimFilterStats& s) {
   ECO_SIM_STATS(ECO_X)
 #undef ECO_X
 }
+
+/// Searches \p bank for a pattern pair — one index with its bit set in \p on,
+/// one in \p off — whose signatures over \p lits (bank literals) are equal.
+/// Such a pair is exactly a model of the corresponding two-copy SAT
+/// instance. Returns the first off-set pattern, in ascending order, whose
+/// signature some on-set pattern has, paired with the first such on-set
+/// pattern. \p on and \p off hold bank.num_words() words each.
+std::optional<std::pair<uint32_t, uint32_t>> indistinguishable_pair(
+    aig::SimBank& bank, std::span<const uint64_t> on, std::span<const uint64_t> off,
+    std::span<const aig::Lit> lits);
 
 /// Simulation filter for one target's (quantified) ECO miter.
 class SimFilter {

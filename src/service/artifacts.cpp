@@ -120,21 +120,25 @@ std::shared_ptr<void> SessionCache::lookup(uint64_t key) {
 
 void SessionCache::insert(uint64_t key, std::shared_ptr<void> value, uint64_t bytes) {
   if (budget_ == 0) return;  // caching disabled
+  // Declared before the lock, so the evicted artifacts are freed after it
+  // is released: freeing a large netlist must not stall other lookups.
+  std::vector<std::shared_ptr<void>> victims;
   std::lock_guard<std::mutex> lock(mu_);
   if (map_.find(key) != map_.end()) return;  // racing load: first insert wins
   lru_.push_front(key);
   map_.emplace(key, Entry{std::move(value), bytes, lru_.begin()});
   account_.charge_memory(bytes);
-  evict_to_budget_locked();
+  evict_to_budget_locked(victims);
 }
 
-void SessionCache::evict_to_budget_locked() {
+void SessionCache::evict_to_budget_locked(std::vector<std::shared_ptr<void>>& victims) {
   while (account_.memory_used() > account_.memory_budget() && !lru_.empty()) {
     const uint64_t victim = lru_.back();
     lru_.pop_back();
     const auto it = map_.find(victim);
     if (it != map_.end()) {
       account_.release_memory(it->second.bytes);
+      victims.push_back(std::move(it->second.value));
       map_.erase(it);
       ++stats_.evictions;
     }
@@ -240,9 +244,11 @@ size_t SessionCache::entries() const {
 }
 
 void SessionCache::clear() {
+  // Freed after the lock is released, as in insert().
+  std::unordered_map<uint64_t, Entry> dropped;
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [key, entry] : map_) account_.release_memory(entry.bytes);
-  map_.clear();
+  dropped.swap(map_);
   lru_.clear();
 }
 

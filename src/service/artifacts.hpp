@@ -146,7 +146,9 @@ class SessionCache {
 
   std::shared_ptr<void> lookup(uint64_t kind_key);
   void insert(uint64_t kind_key, std::shared_ptr<void> value, uint64_t bytes);
-  void evict_to_budget_locked();
+  /// Evicts LRU entries until the account fits; moves their values into
+  /// \p victims so the caller can free them after unlocking.
+  void evict_to_budget_locked(std::vector<std::shared_ptr<void>>& victims);
 
   const uint64_t budget_;
   /// The memory account: a stoppable token whose budget is the cache cap.

@@ -4,6 +4,9 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -515,6 +518,183 @@ TEST(AigOps, TransferMatchesReference) {
   for (uint64_t seed = 0; seed < 300; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     check_transfer_against_reference(seed);
+  }
+}
+
+// ---- strash differential -------------------------------------------------
+
+/// The original structural hash: an unordered_map from the ordered fanin
+/// pair to its node. Kept as the reference the flat table must match literal
+/// for literal; the derived connectives repeat Aig's definitions.
+class ReferenceStrash {
+ public:
+  Lit add_pi() {
+    fanins_.emplace_back(kLitInvalid, kLitInvalid);
+    return lit_make(num_nodes() - 1);
+  }
+  Lit add_and(Lit a, Lit b) {
+    if (a == kLitFalse || b == kLitFalse || a == lit_not(b)) return kLitFalse;
+    if (a == kLitTrue) return b;
+    if (b == kLitTrue) return a;
+    if (a == b) return a;
+    if (a > b) std::swap(a, b);
+    const uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
+    if (const auto it = strash_.find(key); it != strash_.end()) return lit_make(it->second);
+    const Node n = num_nodes();
+    fanins_.emplace_back(a, b);
+    strash_.emplace(key, n);
+    return lit_make(n);
+  }
+  Lit add_or(Lit a, Lit b) { return lit_not(add_and(lit_not(a), lit_not(b))); }
+  Lit add_xor(Lit a, Lit b) { return add_or(add_and(a, lit_not(b)), add_and(lit_not(a), b)); }
+  Lit add_mux(Lit sel, Lit t, Lit e) { return add_or(add_and(sel, t), add_and(lit_not(sel), e)); }
+  Lit add_and_multi(std::span<const Lit> lits) {
+    if (lits.empty()) return kLitTrue;
+    std::vector<Lit> layer(lits.begin(), lits.end());
+    while (layer.size() > 1) {
+      std::vector<Lit> next;
+      for (size_t i = 0; i + 1 < layer.size(); i += 2)
+        next.push_back(add_and(layer[i], layer[i + 1]));
+      if (layer.size() % 2 == 1) next.push_back(layer.back());
+      layer = std::move(next);
+    }
+    return layer[0];
+  }
+  Lit add_or_multi(std::span<const Lit> lits) {
+    std::vector<Lit> inv;
+    for (const Lit l : lits) inv.push_back(lit_not(l));
+    return lit_not(add_and_multi(inv));
+  }
+  Lit add_xor_multi(std::span<const Lit> lits) {
+    Lit acc = kLitFalse;
+    for (const Lit l : lits) acc = add_xor(acc, l);
+    return acc;
+  }
+  uint32_t num_nodes() const { return static_cast<uint32_t>(fanins_.size()); }
+  const std::pair<Lit, Lit>& fanins(Node n) const { return fanins_[n]; }
+
+ private:
+  std::vector<std::pair<Lit, Lit>> fanins_{{kLitInvalid, kLitInvalid}};
+  std::unordered_map<uint64_t, Node> strash_;
+};
+
+/// Applies \p steps random calls to \p g and \p ref alike and checks that
+/// each returns the same literal. \p pool holds literals both have returned
+/// (constant false included); new results join it.
+void extend_against_reference(Rng& rng, Aig& g, ReferenceStrash& ref, std::vector<Lit>& pool,
+                              int steps) {
+  const auto pick = [&] { return lit_notif(pool[rng.below(pool.size())], rng.chance(1, 2)); };
+  std::vector<std::pair<Lit, Lit>> pairs;
+  for (int s = 0; s < steps; ++s) {
+    Lit got = kLitInvalid, want = kLitInvalid;
+    switch (rng.below(8)) {
+      case 0:
+      case 1:
+      case 2: {
+        Lit a = pick(), b = pick();
+        switch (rng.below(10)) {
+          case 0:  // a pair seen before, operands swapped
+            if (!pairs.empty()) std::tie(b, a) = pairs[rng.below(pairs.size())];
+            break;
+          case 1: b = a; break;
+          case 2: b = lit_not(a); break;
+          case 3: b = static_cast<Lit>(rng.below(2)); break;
+          default: break;
+        }
+        pairs.emplace_back(a, b);
+        got = g.add_and(a, b);
+        want = ref.add_and(a, b);
+        break;
+      }
+      case 3: {
+        const Lit a = pick(), b = pick();
+        got = g.add_or(a, b);
+        want = ref.add_or(a, b);
+        break;
+      }
+      case 4: {
+        const Lit a = pick(), b = pick();
+        got = g.add_xor(a, b);
+        want = ref.add_xor(a, b);
+        break;
+      }
+      case 5: {
+        const Lit sel = pick(), t = pick(), e = pick();
+        got = g.add_mux(sel, t, e);
+        want = ref.add_mux(sel, t, e);
+        break;
+      }
+      default: {
+        std::vector<Lit> lits(rng.below(7));
+        for (Lit& l : lits) l = pick();
+        const uint64_t kind = rng.below(3);
+        got = kind == 0 ? g.add_and_multi(lits) : kind == 1 ? g.add_or_multi(lits)
+                                                            : g.add_xor_multi(lits);
+        want = kind == 0 ? ref.add_and_multi(lits) : kind == 1 ? ref.add_or_multi(lits)
+                                                               : ref.add_xor_multi(lits);
+        break;
+      }
+    }
+    ASSERT_EQ(got, want) << "step " << s;
+    pool.push_back(got);
+  }
+}
+
+void expect_same_nodes(const Aig& g, const ReferenceStrash& ref) {
+  ASSERT_EQ(g.num_nodes(), ref.num_nodes());
+  for (Node n = g.num_pis() + 1; n < g.num_nodes(); ++n) {
+    EXPECT_EQ(g.fanin0(n), ref.fanins(n).first) << "node " << n;
+    EXPECT_EQ(g.fanin1(n), ref.fanins(n).second) << "node " << n;
+  }
+}
+
+/// Every AND node's fanin pair, in either order, must hash back to it.
+void expect_every_and_found(Aig& g) {
+  const uint32_t nodes = g.num_nodes();
+  for (Node n = g.num_pis() + 1; n < nodes; ++n) {
+    EXPECT_EQ(g.add_and(g.fanin0(n), g.fanin1(n)), lit_make(n));
+    EXPECT_EQ(g.add_and(g.fanin1(n), g.fanin0(n)), lit_make(n));
+  }
+  EXPECT_EQ(g.num_nodes(), nodes);
+}
+
+// Seeded random sequences of add_and (constants, complements, repeated and
+// degenerate pairs) and derived connectives, through many table growths
+// (seed 0 builds about 26,000 AND nodes, growing the table from 64 slots ten
+// times); halfway, a copy is extended on its own while the original must
+// stay as it was.
+TEST(Aig, StrashMatchesReference) {
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed + 7000);
+    Aig g;
+    ReferenceStrash ref;
+    std::vector<Lit> pool{kLitFalse};
+    const int num_pis = 2 + static_cast<int>(rng.below(11));
+    for (int i = 0; i < num_pis; ++i) {
+      const Lit pi = g.add_pi();
+      ASSERT_EQ(pi, ref.add_pi());
+      pool.push_back(pi);
+    }
+    const int steps = seed == 0 ? 40000 : 1 + static_cast<int>(rng.below(3000));
+    extend_against_reference(rng, g, ref, pool, steps / 2);
+
+    Aig copy = random_aig(rng, 3, 50);  // assigned over: its own table goes
+    copy = g;
+    ReferenceStrash ref_copy = ref;
+    std::vector<Lit> copy_pool = pool;
+    const uint32_t nodes = g.num_nodes();
+    extend_against_reference(rng, copy, ref_copy, copy_pool, steps - steps / 2);
+    EXPECT_EQ(g.num_nodes(), nodes);
+    expect_every_and_found(g);
+    expect_same_nodes(g, ref);
+
+    extend_against_reference(rng, g, ref, pool, steps - steps / 2);
+    Aig copy_of_copy(copy);
+    expect_every_and_found(copy_of_copy);
+    expect_same_nodes(g, ref);
+    expect_same_nodes(copy, ref_copy);
+    expect_same_nodes(copy_of_copy, ref_copy);
   }
 }
 

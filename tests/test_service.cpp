@@ -12,6 +12,7 @@
 #include <fstream>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -88,6 +89,41 @@ TEST(ServiceCache, HitThenEvictThenReparse) {
   small.netlist(a[0], &hit);
   EXPECT_FALSE(hit) << "evicted entry must be re-parsed";
   EXPECT_FALSE(first->network.gates.empty());
+}
+
+// Threads load netlists through a cache that holds about one, so inserts
+// evict while other threads look up, and one thread also clears. Evicted
+// and cleared artifacts are freed after the cache lock is released; the
+// counters and the memory account must still add up.
+TEST(ServiceCache, ConcurrentLoadsEvictAndClear) {
+  std::vector<std::array<std::string, 3>> units;
+  for (int i = 0; i < 3; ++i) units.push_back(write_unit("conc_" + std::to_string(i), i + 1));
+  uint64_t one_netlist = 0;
+  {
+    SessionCache probe(1ull << 30);
+    probe.netlist(units[0][0]);
+    one_netlist = probe.memory_used();
+  }
+  SessionCache cache(one_netlist + one_netlist / 2);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 25;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        const auto& files = units[static_cast<size_t>(t + r) % units.size()];
+        EXPECT_FALSE(cache.netlist(files[0])->network.gates.empty());
+        if (t == 0 && r % 5 == 4) cache.clear();
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  const CacheStats s = cache.stats();
+  EXPECT_EQ(s.netlist_hits + s.netlist_misses, static_cast<uint64_t>(kThreads * kRounds));
+  EXPECT_GT(s.evictions, 0u);
+  EXPECT_LE(cache.memory_used(), cache.memory_budget());
+  cache.clear();
+  EXPECT_EQ(cache.entries(), 0u);
+  EXPECT_EQ(cache.memory_used(), 0u);
 }
 
 TEST(ServiceCache, ContentKeyedAcrossPaths) {

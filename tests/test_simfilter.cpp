@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <span>
+#include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "aig/sim.hpp"
@@ -332,6 +337,102 @@ TEST_P(SimFilterDifferentialTest, BankOnOffResultsAreIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimFilterDifferentialTest, ::testing::Range(0, 8));
+
+// ---- indistinguishable_pair differential ---------------------------------
+
+struct SigHash {
+  size_t operator()(const std::vector<uint64_t>& v) const noexcept {
+    uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (const uint64_t w : v) h ^= w + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    return static_cast<size_t>(h);
+  }
+};
+
+/// The original search: one heap-allocated signature per on-set pattern in
+/// an unordered_map, first on-set pattern per signature kept. Kept as the
+/// reference the flat signature table must match.
+std::optional<std::pair<uint32_t, uint32_t>> reference_indistinguishable_pair(
+    aig::SimBank& bank, const std::vector<uint64_t>& on, const std::vector<uint64_t>& off,
+    std::span<const aig::Lit> lits) {
+  const size_t words = bank.num_words();
+  std::vector<std::span<const uint64_t>> rows;
+  std::vector<uint64_t> compl_mask;
+  for (const aig::Lit l : lits) {
+    rows.push_back(bank.row(aig::lit_node(l)));
+    compl_mask.push_back(aig::lit_compl(l) ? ~0ULL : 0ULL);
+  }
+  std::vector<uint64_t> sig(lits.size() / 64 + 1);
+  const auto signature_of = [&](uint32_t p) {
+    std::fill(sig.begin(), sig.end(), 0);
+    for (size_t j = 0; j < rows.size(); ++j)
+      sig[j / 64] |= (((rows[j][p / 64] ^ compl_mask[j]) >> (p % 64)) & 1ULL) << (j % 64);
+    return sig;
+  };
+  std::unordered_map<std::vector<uint64_t>, uint32_t, SigHash> on_sigs;
+  for (size_t w = 0; w < words; ++w)
+    for (uint64_t bits = on[w]; bits != 0; bits &= bits - 1) {
+      const uint32_t p = static_cast<uint32_t>(w * 64 + __builtin_ctzll(bits));
+      on_sigs.emplace(signature_of(p), p);
+    }
+  if (on_sigs.empty()) return std::nullopt;
+  for (size_t w = 0; w < words; ++w)
+    for (uint64_t bits = off[w]; bits != 0; bits &= bits - 1) {
+      const uint32_t p = static_cast<uint32_t>(w * 64 + __builtin_ctzll(bits));
+      const auto it = on_sigs.find(signature_of(p));
+      if (it != on_sigs.end()) return std::make_pair(it->second, p);
+    }
+  return std::nullopt;
+}
+
+// Seeded random banks over random AIGs, random on/off sets (empty, sparse
+// and dense) and literal lists from empty to three signature words, with
+// repeats, complements and the constant node.
+TEST(SimFilter, IndistinguishablePairMatchesReference) {
+  size_t found = 0, queries = 0;
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed + 900);
+    aig::Aig g;
+    std::vector<aig::Lit> pool;
+    const int num_pis = 2 + static_cast<int>(rng.below(10));
+    for (int i = 0; i < num_pis; ++i) pool.push_back(g.add_pi());
+    for (int i = 0; i < 150; ++i)
+      pool.push_back(g.add_and(aig::lit_notif(pool[rng.below(pool.size())], rng.chance(1, 2)),
+                               aig::lit_notif(pool[rng.below(pool.size())], rng.chance(1, 2))));
+    aig::SimBankOptions opt;
+    opt.seed_words = 1 + static_cast<uint32_t>(rng.below(3));
+    opt.capacity_words = 6;
+    opt.seed = seed;
+    aig::SimBank bank(g, opt);
+    const uint64_t extra = rng.below(150);
+    for (uint64_t k = 0; k < extra; ++k) {
+      std::vector<bool> pat(g.num_pis());
+      for (size_t i = 0; i < pat.size(); ++i) pat[i] = rng.chance(1, 2);
+      bank.add_pattern(pat);
+    }
+    const size_t words = bank.num_words();
+    for (int q = 0; q < 25; ++q) {
+      std::vector<uint64_t> on(words), off(words);
+      const uint64_t density = rng.below(4);  // 0: empty on-set
+      for (size_t w = 0; w < words; ++w) {
+        uint64_t bits = density == 0 ? 0 : rng.next();
+        for (uint64_t d = density; d < 3; ++d) bits &= rng.next();
+        on[w] = bits & bank.valid_mask(w);
+        off[w] = rng.next() & ~on[w] & bank.valid_mask(w);
+      }
+      std::vector<aig::Lit> lits(rng.chance(1, 2) ? rng.below(7) : rng.below(160));
+      for (aig::Lit& l : lits)
+        l = aig::lit_make(static_cast<aig::Node>(rng.below(g.num_nodes())), rng.chance(1, 2));
+      const auto want = reference_indistinguishable_pair(bank, on, off, lits);
+      EXPECT_EQ(indistinguishable_pair(bank, on, off, lits), want);
+      found += want.has_value();
+      ++queries;
+    }
+  }
+  // Both outcomes must be well represented for the comparison to mean much.
+  EXPECT_GT(found, queries / 5);
+  EXPECT_LT(found, queries - queries / 5);
+}
 
 }  // namespace
 }  // namespace eco::core
