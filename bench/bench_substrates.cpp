@@ -1,7 +1,7 @@
 // bench_substrates: microbenchmarks of the library substrates — CDCL SAT
-// solving, AIG construction/strashing/copying, elaboration, cone transfer,
-// structural pruning, Tseitin encoding + equivalence checking, max-flow, and
-// SOP factoring.
+// solving and clause loading, AIG construction/strashing/copying,
+// elaboration, cone transfer, structural pruning, Tseitin encoding +
+// equivalence checking, max-flow, and SOP factoring.
 // These calibrate the absolute runtimes reported by bench_table1 on this
 // machine.
 
@@ -13,6 +13,8 @@
 #include "aig/ops.hpp"
 #include "benchgen/suite.hpp"
 #include "cec/cec.hpp"
+#include "cnf/tseitin.hpp"
+#include "eco/miter.hpp"
 #include "eco/problem.hpp"
 #include "eco/window.hpp"
 #include "flow/maxflow.hpp"
@@ -156,6 +158,42 @@ void BM_Elaborate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Elaborate)->Arg(1)->Arg(14)->Unit(benchmark::kMillisecond);
+
+const eco::core::EcoMiter& scale16_miter(int index) {
+  static std::map<int, eco::core::EcoMiter> cache;
+  auto it = cache.find(index);
+  if (it == cache.end()) {
+    const eco::core::EcoProblem& p = scale16_problem(index);
+    it = cache.emplace(index, eco::core::build_eco_miter(p.impl, p.spec, p.divisors)).first;
+  }
+  return it->second;
+}
+
+// Loading the SAT path's two-copy instance, then destroying the solver: two
+// encoders over the ECO miter map its output, target 0 and every divisor, as
+// core::SupportInstance maps its candidates. Nothing is asserted, so every
+// clause loads (with unit 1's units asserted, the instance is UNSAT at level
+// 0 before its divisors load).
+void BM_SolverLoadMiter(benchmark::State& state) {
+  const eco::core::EcoMiter& m = scale16_miter(static_cast<int>(state.range(0)));
+  int vars = 0;
+  for (auto _ : state) {
+    eco::sat::Solver solver;
+    eco::cnf::Encoder copy1(m.aig, solver);
+    eco::cnf::Encoder copy2(m.aig, solver);
+    copy1.lit(m.out);
+    copy1.lit(m.target_lit(0));
+    copy2.lit(m.out);
+    copy2.lit(m.target_lit(0));
+    for (const eco::aig::Lit dl : m.divisor_lits) {
+      copy1.lit(dl);
+      copy2.lit(dl);
+    }
+    vars = solver.num_vars();
+  }
+  state.SetItemsProcessed(state.iterations() * vars);
+}
+BENCHMARK(BM_SolverLoadMiter)->Arg(1)->Arg(14)->Unit(benchmark::kMillisecond);
 
 void BM_ComputeWindow(benchmark::State& state) {
   const eco::core::EcoProblem& p = scale16_problem(static_cast<int>(state.range(0)));

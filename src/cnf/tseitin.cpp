@@ -14,7 +14,8 @@ sat::Var Encoder::var(aig::Node n) {
   if (vars_[n] != sat::kVarUndef) return vars_[n];
 
   // Iterative DFS so deep cones do not overflow the call stack.
-  std::vector<aig::Node> stack{n};
+  std::vector<aig::Node>& stack = stack_;
+  stack.assign(1, n);
   while (!stack.empty()) {
     const aig::Node cur = stack.back();
     if (vars_[cur] != sat::kVarUndef) {

@@ -39,6 +39,7 @@ class Encoder {
   const aig::Aig* g_;
   sat::Solver* solver_;
   std::vector<sat::Var> vars_;
+  std::vector<aig::Node> stack_;  ///< var()'s DFS stack, kept for its capacity
 };
 
 }  // namespace eco::cnf

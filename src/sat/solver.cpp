@@ -136,10 +136,10 @@ Solver::~Solver() {
 
 Var Solver::new_var(bool decision, bool default_polarity) {
   const Var v = num_vars();
-  watches_.emplace_back();
-  watches_.emplace_back();
-  watches_bin_.emplace_back();
-  watches_bin_.emplace_back();
+  watches_.add_list();
+  watches_.add_list();
+  watches_bin_.add_list();
+  watches_bin_.add_list();
   assigns_.push_back(kUndef);
   polarity_.push_back(default_polarity ? 1 : 0);
   decision_.push_back(decision ? 1 : 0);
@@ -177,19 +177,22 @@ bool Solver::add_clause(std::span<const Lit> lits) {
   if (decision_level() > 0) cancel_until(0);
   if (!ok_) return false;
 
-  LitVec ps(lits.begin(), lits.end());
-  std::sort(ps.begin(), ps.end());
-  // Remove duplicates, satisfied clauses, and false literals.
-  LitVec out;
+  // Sort, then remove duplicates, satisfied clauses, and false literals in
+  // place; the buffer keeps its capacity for the next clause.
+  LitVec& out = add_buf_;
+  out.assign(lits.begin(), lits.end());
+  std::sort(out.begin(), out.end());
+  size_t kept = 0;
   Lit prev = kLitUndef;
-  for (const Lit l : ps) {
+  for (const Lit l : out) {
     assert(l.var() >= 0 && l.var() < num_vars());
     if (value(l).is_true() || l == ~prev) return true;  // clause satisfied / tautology
     if (!value(l).is_false() && l != prev) {
-      out.push_back(l);
+      out[kept++] = l;
       prev = l;
     }
   }
+  out.resize(kept);
 
   if (out.empty()) {
     ok_ = false;
@@ -210,38 +213,31 @@ void Solver::attach_clause(CRef ref) {
   auto c = clause(ref);
   assert(c.size() > 1);
   if (c.size() == 2) {
-    watches_bin_[static_cast<size_t>((~c[0]).raw())].push_back(BinWatcher{c[1], ref});
-    watches_bin_[static_cast<size_t>((~c[1]).raw())].push_back(BinWatcher{c[0], ref});
+    watches_bin_.push(static_cast<size_t>((~c[0]).raw()), BinWatcher{c[1], ref});
+    watches_bin_.push(static_cast<size_t>((~c[1]).raw()), BinWatcher{c[0], ref});
     return;
   }
-  watches_[static_cast<size_t>((~c[0]).raw())].push_back(Watcher{ref, c[1]});
-  watches_[static_cast<size_t>((~c[1]).raw())].push_back(Watcher{ref, c[0]});
+  watches_.push(static_cast<size_t>((~c[0]).raw()), Watcher{ref, c[1]});
+  watches_.push(static_cast<size_t>((~c[1]).raw()), Watcher{ref, c[0]});
 }
 
 void Solver::detach_clause(CRef ref) {
   auto c = clause(ref);
-  if (c.size() == 2) {
-    for (const Lit w : {~c[0], ~c[1]}) {
-      auto& ws = watches_bin_[static_cast<size_t>(w.raw())];
-      for (size_t i = 0; i < ws.size(); ++i) {
-        if (ws[i].cref == ref) {
-          ws[i] = ws.back();
-          ws.pop_back();
-          break;
-        }
-      }
-    }
-    return;
-  }
-  for (const Lit w : {~c[0], ~c[1]}) {
-    auto& ws = watches_[static_cast<size_t>(w.raw())];
-    for (size_t i = 0; i < ws.size(); ++i) {
+  const auto unwatch = [ref](auto& lists, Lit w) {
+    const auto l = static_cast<size_t>(w.raw());
+    const auto ws = lists[l];
+    for (uint32_t i = 0; i < ws.size(); ++i) {
       if (ws[i].cref == ref) {
-        ws[i] = ws.back();
-        ws.pop_back();
+        lists.swap_remove(l, i);
         break;
       }
     }
+  };
+  for (const Lit w : {~c[0], ~c[1]}) {
+    if (c.size() == 2)
+      unwatch(watches_bin_, w);
+    else
+      unwatch(watches_, w);
   }
 }
 
@@ -282,12 +278,13 @@ CRef Solver::propagate() {
   CRef confl = kCRefUndef;
   while (qhead_ < trail_.size()) {
     const Lit p = trail_[qhead_++];
+    const auto pl = static_cast<size_t>(p.raw());
     ++stats_.propagations;
 
     // Tier 1: binary clauses — the implied literal is inline in the
     // watcher, so this loop runs on one contiguous array with no arena
     // dereference and never needs to move a watch.
-    for (const BinWatcher bw : watches_bin_[static_cast<size_t>(p.raw())]) {
+    for (const BinWatcher bw : watches_bin_[pl]) {
       const LBool v = value(bw.other);
       if (v.is_true()) continue;
       if (v.is_false()) {
@@ -297,10 +294,13 @@ CRef Solver::propagate() {
       unchecked_enqueue(bw.other, bw.cref);
     }
 
-    // Tier 2: longer clauses with blocker-checked watcher pairs.
-    auto& ws = watches_[static_cast<size_t>(p.raw())];
-    size_t i = 0, j = 0;
-    const size_t n = ws.size();
+    // Tier 2: longer clauses with blocker-checked watcher pairs. The list
+    // is walked by index: a push onto another literal's list may move every
+    // list, so the base is re-read after each push (a push never targets
+    // p's own list: the new watch is on a literal that is not false).
+    Watcher* ws = watches_.data(pl);
+    uint32_t i = 0, j = 0;
+    const uint32_t n = watches_.size(pl);
     while (i < n) {
       const Watcher w = ws[i];
       if (value(w.blocker).is_true()) {
@@ -326,7 +326,8 @@ CRef Solver::propagate() {
         if (!value(c[k]).is_false()) {
           c[1] = c[k];
           c[k] = false_lit;
-          watches_[static_cast<size_t>((~c[1]).raw())].push_back(Watcher{w.cref, first});
+          watches_.push(static_cast<size_t>((~c[1]).raw()), Watcher{w.cref, first});
+          ws = watches_.data(pl);
           found = true;
           break;
         }
@@ -342,7 +343,7 @@ CRef Solver::propagate() {
         unchecked_enqueue(first, w.cref);
       }
     }
-    ws.resize(j);
+    watches_.truncate(pl, j);
     if (confl != kCRefUndef) break;
   }
   return confl;
@@ -661,10 +662,10 @@ void Solver::maybe_garbage_collect() {
     c[0] = Lit::from_raw(static_cast<int32_t>(nref));
     ref = nref;
   };
-  for (auto& ws : watches_)
-    for (auto& w : ws) reloc(w.cref);
-  for (auto& ws : watches_bin_)
-    for (auto& w : ws) reloc(w.cref);
+  for (size_t l = 0; l < watches_.num_lists(); ++l)
+    for (Watcher& w : watches_[l]) reloc(w.cref);
+  for (size_t l = 0; l < watches_bin_.num_lists(); ++l)
+    for (BinWatcher& w : watches_bin_[l]) reloc(w.cref);
   for (const Lit l : trail_) {
     auto& r = vardata_[static_cast<size_t>(l.var())].reason;
     if (r != kCRefUndef) {
@@ -713,7 +714,7 @@ bool Solver::within_budget() const noexcept {
 /// (Luby policy); a negative value means the EMA policy decides internally.
 LBool Solver::search(int64_t conflicts_before_restart) {
   int64_t conflict_count = 0;
-  LitVec learnt;
+  LitVec& learnt = learnt_;
   for (;;) {
     const CRef confl = propagate();
     if (confl != kCRefUndef) {
@@ -928,13 +929,10 @@ LBool Solver::solve_impl(std::span<const Lit> assumptions) {
   } else if (status.is_false()) {
     // Convert the final conflict (negated assumptions) into core literals in
     // their assumed polarity.
-    LitVec as_assumed;
-    as_assumed.reserve(core_.size());
-    for (const Lit l : core_) {
-      as_assumed.push_back(~l);
+    for (Lit& l : core_) {
       in_core_mark_[static_cast<size_t>(l.var())] = 1;
+      l = ~l;
     }
-    core_ = std::move(as_assumed);
   }
   if (!opts_.trail_reuse) {
     cancel_until(0);
