@@ -1,16 +1,20 @@
 // bench_substrates: microbenchmarks of the library substrates — CDCL SAT
 // solving and clause loading, AIG construction/strashing/copying,
-// elaboration, cone transfer, structural pruning, Tseitin encoding +
-// equivalence checking, max-flow, and SOP factoring.
+// elaboration, cone transfer, structural pruning, simulation-bank seeding,
+// Tseitin encoding + equivalence checking, max-flow, SOP factoring, and the
+// service's content hash.
 // These calibrate the absolute runtimes reported by bench_table1 on this
 // machine.
 
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <sstream>
+#include <string>
 
 #include "aig/aig.hpp"
 #include "aig/ops.hpp"
+#include "aig/simbank.hpp"
 #include "benchgen/suite.hpp"
 #include "cec/cec.hpp"
 #include "cnf/tseitin.hpp"
@@ -19,7 +23,10 @@
 #include "eco/window.hpp"
 #include "flow/maxflow.hpp"
 #include "net/elaborate.hpp"
+#include "net/verilog.hpp"
+#include "net/weights.hpp"
 #include "sat/solver.hpp"
+#include "service/artifacts.hpp"
 #include "sop/factor.hpp"
 #include "util/executor.hpp"
 #include "util/rng.hpp"
@@ -195,6 +202,25 @@ void BM_SolverLoadMiter(benchmark::State& state) {
 }
 BENCHMARK(BM_SolverLoadMiter)->Arg(1)->Arg(14)->Unit(benchmark::kMillisecond);
 
+// The per-target simulation bank of the SAT path: built over the quantified
+// miter of target 0 (the window's POs, every other target quantified), then
+// its first row() simulates every AND row over the seed words.
+void BM_SimBankSeed(benchmark::State& state) {
+  const eco::core::EcoProblem& p = scale16_problem(static_cast<int>(state.range(0)));
+  const eco::core::Window w = eco::core::compute_window(p);
+  std::vector<uint32_t> rest;
+  for (uint32_t t = 1; t < p.num_targets(); ++t) rest.push_back(t);
+  const eco::core::EcoMiter mq = eco::core::quantify_targets(
+      eco::core::build_eco_miter(p.impl, p.spec, p.divisors, w.affected_pos), rest,
+      UINT32_MAX);
+  for (auto _ : state) {
+    eco::aig::SimBank bank(mq.aig, eco::aig::SimBankOptions{});
+    benchmark::DoNotOptimize(bank.row(eco::aig::lit_node(mq.out)).data());
+  }
+  state.SetItemsProcessed(state.iterations() * mq.aig.num_nodes());
+}
+BENCHMARK(BM_SimBankSeed)->Arg(1)->Arg(14)->Unit(benchmark::kMicrosecond);
+
 void BM_ComputeWindow(benchmark::State& state) {
   const eco::core::EcoProblem& p = scale16_problem(static_cast<int>(state.range(0)));
   for (auto _ : state) benchmark::DoNotOptimize(eco::core::compute_window(p));
@@ -252,6 +278,24 @@ void BM_TransferPerPo(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * impl.num_pos());
 }
 BENCHMARK(BM_TransferPerPo)->Arg(1)->Arg(14)->Unit(benchmark::kMillisecond);
+
+// The service hashes all three input files of every job, hit or miss. Arg
+// is the scale: 4 is one warm_sessions session, 16 one fresh_sessions
+// session (suite unit 1 as written to disk).
+void BM_ContentHash(benchmark::State& state) {
+  const eco::benchgen::EcoUnit u =
+      eco::benchgen::make_unit(1, 20170912, static_cast<int>(state.range(0)));
+  std::ostringstream impl, spec, weights;
+  eco::net::write_verilog(impl, u.impl);
+  eco::net::write_verilog(spec, u.spec);
+  eco::net::write_weights(weights, u.weights);
+  const std::string files[] = {impl.str(), spec.str(), weights.str()};
+  for (auto _ : state)
+    for (const std::string& f : files) benchmark::DoNotOptimize(eco::service::content_hash(f));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(files[0].size() + files[1].size() + files[2].size()));
+}
+BENCHMARK(BM_ContentHash)->Arg(4)->Arg(16)->Unit(benchmark::kMicrosecond);
 
 void BM_CecEquivalentAdders(benchmark::State& state) {
   // Two structurally different but equivalent mux trees.

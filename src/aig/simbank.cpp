@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "aig/sim.hpp"
 #include "util/telemetry.hpp"
@@ -17,15 +18,17 @@ SimBank::SimBank(const Aig& g, const SimBankOptions& options) : g_(&g) {
       std::max<uint64_t>(1, std::min<uint64_t>(options.capacity_words, budget_words));
   const size_t seed_words = std::min<size_t>(options.seed_words, capacity_words_);
 
-  known_nodes_ = g.num_nodes();
-  words_.assign(static_cast<size_t>(known_nodes_) * capacity_words_, 0);
+  stride_ = std::max<size_t>(1, seed_words);
+  row_capacity_ = known_nodes_ = g.num_nodes();
+  words_ = std::make_unique_for_overwrite<uint64_t[]>(row_capacity_ * stride_);
+  // The constant and PI rows are the first ones.
+  std::fill_n(words_.get(), (static_cast<size_t>(g.num_pis()) + 1) * stride_, 0);
 
   // Random seed patterns: one SplitMix64 stream fills every PI word.
   const std::vector<uint64_t> pi_words = random_pi_words(g, options.seed, seed_words);
   for (uint32_t i = 0; i < g.num_pis(); ++i)
-    for (size_t w = 0; w < seed_words; ++w)
-      words_[static_cast<size_t>(g.pi_node(i)) * capacity_words_ + w] =
-          pi_words[i * seed_words + w];
+    std::copy_n(pi_words.data() + i * seed_words, seed_words,
+                &words_[static_cast<size_t>(g.pi_node(i)) * stride_]);
   num_patterns_ = static_cast<uint32_t>(seed_words * 64);
   num_seed_patterns_ = num_patterns_;
   clean_words_ = 0;  // AND rows simulated lazily on the first query
@@ -43,30 +46,50 @@ bool SimBank::add_pattern(const std::vector<bool>& pi_values) {
   if (full()) return false;
   const uint32_t pos = num_patterns_;
   const size_t w = pos / 64;
+  if (w == stride_) relayout(row_capacity_, std::min(2 * stride_, capacity_words_));
   const uint64_t bit = 1ULL << (pos % 64);
   for (uint32_t i = 0; i < g_->num_pis(); ++i)
-    if (pi_values[i])
-      words_[static_cast<size_t>(g_->pi_node(i)) * capacity_words_ + w] |= bit;
+    if (pi_values[i]) words_[static_cast<size_t>(g_->pi_node(i)) * stride_ + w] |= bit;
   ++num_patterns_;
   clean_words_ = std::min(clean_words_, w);
   return true;
 }
 
+void SimBank::relayout(size_t rows, size_t stride) {
+  auto next = std::make_unique_for_overwrite<uint64_t[]>(rows * stride);
+  uint64_t* const dst = next.get();
+  const uint64_t* const src = words_.get();
+  // Constant and PI rows keep every word and are zero past them; AND rows
+  // keep their clean words, the rest is simulated before it is read.
+  const size_t inputs = static_cast<size_t>(g_->num_pis()) + 1;
+  const size_t keep = std::min(stride_, stride);
+  for (size_t n = 0; n < inputs; ++n) {
+    std::memcpy(dst + n * stride, src + n * stride_, keep * sizeof(uint64_t));
+    std::fill(dst + n * stride + keep, dst + (n + 1) * stride, 0);
+  }
+  for (size_t n = inputs; n < known_nodes_; ++n)
+    std::memcpy(dst + n * stride, src + n * stride_, clean_words_ * sizeof(uint64_t));
+  words_ = std::move(next);
+  stride_ = stride;
+  row_capacity_ = rows;
+}
+
 void SimBank::sync() {
   const size_t target_words = num_words();
   // New nodes appended to the AIG since the last sync: allocate their rows
-  // (constant/AND only — adding PIs post-construction is unsupported) and
-  // simulate them over every already-clean word so only the dirty-word pass
-  // below remains.
+  // (AND only — adding PIs post-construction is unsupported) and simulate
+  // them over every already-clean word so only the dirty-word pass below
+  // remains.
   if (g_->num_nodes() > known_nodes_) {
     assert(g_->num_pis() + 1 <= known_nodes_ && "PIs added after SimBank creation");
-    words_.resize(static_cast<size_t>(g_->num_nodes()) * capacity_words_, 0);
+    if (g_->num_nodes() > row_capacity_)
+      relayout(std::max<size_t>(g_->num_nodes(), 2 * row_capacity_), stride_);
     for (Node n = known_nodes_; n < g_->num_nodes(); ++n) {
       const Lit a = g_->fanin0(n);
       const Lit b = g_->fanin1(n);
-      const uint64_t* wa = words_.data() + static_cast<size_t>(lit_node(a)) * capacity_words_;
-      const uint64_t* wb = words_.data() + static_cast<size_t>(lit_node(b)) * capacity_words_;
-      uint64_t* wn = words_.data() + static_cast<size_t>(n) * capacity_words_;
+      const uint64_t* wa = &words_[static_cast<size_t>(lit_node(a)) * stride_];
+      const uint64_t* wb = &words_[static_cast<size_t>(lit_node(b)) * stride_];
+      uint64_t* wn = &words_[static_cast<size_t>(n) * stride_];
       const uint64_t ma = lit_compl(a) ? ~0ULL : 0ULL;
       const uint64_t mb = lit_compl(b) ? ~0ULL : 0ULL;
       for (size_t w = 0; w < clean_words_; ++w) wn[w] = (wa[w] ^ ma) & (wb[w] ^ mb);
@@ -83,9 +106,9 @@ void SimBank::sync() {
   for (Node n = g_->num_pis() + 1; n < known_nodes_; ++n) {
     const Lit a = g_->fanin0(n);
     const Lit b = g_->fanin1(n);
-    const uint64_t* wa = words_.data() + static_cast<size_t>(lit_node(a)) * capacity_words_;
-    const uint64_t* wb = words_.data() + static_cast<size_t>(lit_node(b)) * capacity_words_;
-    uint64_t* wn = words_.data() + static_cast<size_t>(n) * capacity_words_;
+    const uint64_t* wa = &words_[static_cast<size_t>(lit_node(a)) * stride_];
+    const uint64_t* wb = &words_[static_cast<size_t>(lit_node(b)) * stride_];
+    uint64_t* wn = &words_[static_cast<size_t>(n) * stride_];
     const uint64_t ma = lit_compl(a) ? ~0ULL : 0ULL;
     const uint64_t mb = lit_compl(b) ? ~0ULL : 0ULL;
     for (size_t w = clean_words_; w < target_words; ++w)
@@ -101,7 +124,7 @@ void SimBank::sync() {
 std::span<const uint64_t> SimBank::row(Node n) {
   sync();
   assert(n < known_nodes_);
-  return {words_.data() + static_cast<size_t>(n) * capacity_words_, num_words()};
+  return {&words_[static_cast<size_t>(n) * stride_], num_words()};
 }
 
 bool SimBank::value(Lit l, uint32_t index) {

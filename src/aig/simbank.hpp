@@ -3,11 +3,16 @@
 ///
 /// The bank stores input patterns column-wise: every node owns a row of
 /// 64-pattern words in ONE flat contiguous buffer (`[node][word]` layout,
-/// indexed node * capacity + w), so a node's signature over all patterns is
+/// indexed node * stride + w), so a node's signature over all patterns is
 /// a cache-friendly span. The bank is seeded with random patterns and grows
 /// with counterexamples (SAT models) appended by the engine; re-simulation
 /// is incremental and lazy — only the word columns dirtied since the last
 /// query are recomputed, and only when a row is actually read.
+///
+/// Storage follows use: the row stride starts at the seed words and doubles
+/// (up to the capacity) on the add_pattern() call that needs a new column.
+/// Only the constant and PI rows, which add_pattern() ORs into, are
+/// zero-filled; an AND word is always simulated before it is read.
 ///
 /// The underlying AIG may GROW after the bank is created (nodes appended in
 /// topological order, e.g. by aig::transfer); the bank extends its storage
@@ -16,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -72,14 +78,20 @@ class SimBank {
 
  private:
   void sync();
+  /// Moves the known rows into a buffer of \p rows rows of \p stride words.
+  void relayout(size_t rows, size_t stride);
 
   const Aig* g_;
   size_t capacity_words_ = 0;
+  size_t stride_ = 0;        ///< words per row, at most capacity_words_
+  size_t row_capacity_ = 0;  ///< rows allocated, at least known_nodes_
   uint32_t num_patterns_ = 0;
   uint32_t num_seed_patterns_ = 0;
   uint32_t known_nodes_ = 0;  ///< rows allocated+simulated for nodes [0, known)
   size_t clean_words_ = 0;    ///< word columns up to date for all known nodes
-  std::vector<uint64_t> words_;  ///< flat [node * capacity_words_ + w]
+  /// Flat [node * stride_ + w]. Constant and PI rows are fully initialized;
+  /// an AND row only in its first clean_words_ words.
+  std::unique_ptr<uint64_t[]> words_;
   uint64_t resim_node_words_ = 0;
 };
 

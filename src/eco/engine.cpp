@@ -244,9 +244,7 @@ bool run_sat_path(const EcoProblem& problem, const Window& window,
     ECO_TELEMETRY_COUNT("engine.targets_attempted");
     ++stats.targets_attempted;
 
-    std::vector<Divisor> cur_div = problem.divisors;
-    for (size_t i = 0; i < cur_div.size(); ++i) cur_div[i].lit = div_lits[i];
-    const EcoMiter m = build_eco_miter(work, problem.spec, cur_div, window.affected_pos);
+    EcoMiter m = build_eco_miter(work, problem.spec, div_lits, window.affected_pos);
 
     std::vector<uint32_t> remaining;
     for (uint32_t u = t + 1; u < k; ++u) remaining.push_back(u);
@@ -255,7 +253,7 @@ bool run_sat_path(const EcoProblem& problem, const Window& window,
       ECO_TELEMETRY_PHASE("quantify");
       // Fault site: the expansion's allocation guard trips.
       if (ECO_FAULT_POINT(fault::Site::kAllocGuard)) throw std::bad_alloc();
-      mq = quantify_targets(m, remaining, options.max_expansion_nodes);
+      mq = quantify_targets(std::move(m), remaining, options.max_expansion_nodes);
     } catch (const std::runtime_error&) {
       log_info("engine: quantification expansion too large; structural fallback");
       ECO_TELEMETRY_COUNT("engine.quantify_overflows");
@@ -588,8 +586,8 @@ EcoOutcome run_eco_attempt(const EcoProblem& problem, const EngineOptions& optio
   }
 
   // 2. Target-sufficiency check via 2QBF CEGAR (paper §3.2).
-  const EcoMiter feas_miter =
-      build_eco_miter(problem.impl, problem.spec, {}, window.affected_pos);
+  const EcoMiter feas_miter = build_eco_miter(problem.impl, problem.spec,
+                                              std::span<const aig::Lit>{}, window.affected_pos);
   // The QBF check gets a bounded slice of the effort: if it cannot decide
   // quickly, the SAT path both solves the problem and detects infeasibility
   // itself (an insufficient full divisor set is exactly step infeasibility).
@@ -678,14 +676,14 @@ EcoOutcome run_eco_attempt(const EcoProblem& problem, const EngineOptions& optio
 
   // Warm seeds (service mode) join the run's own harvest after it, so fresh
   // counterexamples keep priority under the seed cap; the union is both the
-  // verification stimulus set and the harvest handed back to the caller.
+  // verification stimulus set and, moved out once verification is done, the
+  // harvest handed back to the caller.
   if (options.warm_patterns != nullptr) {
     for (const auto& p : *options.warm_patterns) {
       if (cec_seeds.size() >= kMaxCecSeeds) break;
       if (!p.empty()) cec_seeds.push_back(p);
     }
   }
-  outcome.harvested_patterns = cec_seeds;
 
   // 5. Verification (paper Fig. 2 final check).
   // Verification gets its own grace window so a hard CEC cannot hang the
@@ -742,6 +740,7 @@ EcoOutcome run_eco_attempt(const EcoProblem& problem, const EngineOptions& optio
                                 ? options.executor->wait_helping(verify_future)
                                 : verify_job(false);
   outcome.stats.verify_seconds = verify_seconds;
+  outcome.harvested_patterns = std::move(cec_seeds);
   switch (check) {
     case cec::Status::kEquivalent:
       outcome.verification = EcoOutcome::Verification::kVerified;

@@ -7,7 +7,7 @@
 namespace eco::core {
 
 EcoMiter build_eco_miter(const aig::Aig& impl, const aig::Aig& spec,
-                         const std::vector<Divisor>& divisors,
+                         std::span<const aig::Lit> divisor_lits,
                          const std::vector<uint32_t>& po_subset) {
   EcoMiter m;
   m.num_x = spec.num_pis();
@@ -26,7 +26,7 @@ EcoMiter build_eco_miter(const aig::Aig& impl, const aig::Aig& spec,
     pos = po_subset;
   }
   for (const uint32_t po : pos) impl_roots.push_back(impl.po_lit(po));
-  for (const auto& d : divisors) impl_roots.push_back(d.lit);
+  impl_roots.insert(impl_roots.end(), divisor_lits.begin(), divisor_lits.end());
 
   std::vector<aig::Lit> impl_map(impl.num_nodes(), aig::kLitInvalid);
   impl_map[0] = aig::kLitFalse;
@@ -50,6 +50,15 @@ EcoMiter build_eco_miter(const aig::Aig& impl, const aig::Aig& spec,
 
   m.divisor_lits.assign(impl_lits.begin() + static_cast<long>(pos.size()), impl_lits.end());
   return m;
+}
+
+EcoMiter build_eco_miter(const aig::Aig& impl, const aig::Aig& spec,
+                         const std::vector<Divisor>& divisors,
+                         const std::vector<uint32_t>& po_subset) {
+  std::vector<aig::Lit> lits;
+  lits.reserve(divisors.size());
+  for (const auto& d : divisors) lits.push_back(d.lit);
+  return build_eco_miter(impl, spec, lits, po_subset);
 }
 
 namespace {
@@ -113,30 +122,31 @@ EcoMiter substitute_target_in_miter(const EcoMiter& m, uint32_t t, aig::Lit func
   return out;
 }
 
-EcoMiter quantify_targets(const EcoMiter& m, const std::vector<uint32_t>& quantify,
+EcoMiter quantify_targets(EcoMiter m, const std::vector<uint32_t>& quantify,
                           uint32_t max_nodes) {
-  EcoMiter cur = rebuild_with(m, std::vector<aig::Lit>(m.aig.num_pis(), aig::kLitInvalid));
+  // Expands m itself, not a rebuilt copy: a transfer builds the cone of its
+  // roots in ascending node order, so both give the same nodes.
   for (const uint32_t t : quantify) {
-    // cur.out := cur.out[t=0] & cur.out[t=1], divisors preserved.
+    // m.out := m.out[t=0] & m.out[t=1], divisors preserved.
     EcoMiter next;
-    next.num_x = cur.num_x;
-    next.num_targets = cur.num_targets;
+    next.num_x = m.num_x;
+    next.num_targets = m.num_targets;
     std::vector<aig::Lit> pi_map;
-    pi_map.reserve(cur.aig.num_pis());
-    for (uint32_t i = 0; i < cur.aig.num_pis(); ++i)
-      pi_map.push_back(next.aig.add_pi(cur.aig.pi_name(i)));
+    pi_map.reserve(m.aig.num_pis());
+    for (uint32_t i = 0; i < m.aig.num_pis(); ++i)
+      pi_map.push_back(next.aig.add_pi(m.aig.pi_name(i)));
 
     std::vector<aig::Lit> roots;
-    roots.push_back(cur.out);
-    for (const aig::Lit d : cur.divisor_lits) roots.push_back(d);
+    roots.push_back(m.out);
+    for (const aig::Lit d : m.divisor_lits) roots.push_back(d);
 
     std::vector<aig::Lit> lits_by_value[2];
     for (const bool value : {false, true}) {
-      std::vector<aig::Lit> map(cur.aig.num_nodes(), aig::kLitInvalid);
+      std::vector<aig::Lit> map(m.aig.num_nodes(), aig::kLitInvalid);
       map[0] = aig::kLitFalse;
-      for (uint32_t i = 0; i < cur.aig.num_pis(); ++i) map[cur.aig.pi_node(i)] = pi_map[i];
-      map[cur.aig.pi_node(cur.target_pi(t))] = value ? aig::kLitTrue : aig::kLitFalse;
-      lits_by_value[value] = aig::transfer(cur.aig, next.aig, roots, map);
+      for (uint32_t i = 0; i < m.aig.num_pis(); ++i) map[m.aig.pi_node(i)] = pi_map[i];
+      map[m.aig.pi_node(m.target_pi(t))] = value ? aig::kLitTrue : aig::kLitFalse;
+      lits_by_value[value] = aig::transfer(m.aig, next.aig, roots, map);
     }
     next.out = next.aig.add_and(lits_by_value[0][0], lits_by_value[1][0]);
     // Divisors do not depend on targets, so both cofactors strash to the
@@ -145,9 +155,9 @@ EcoMiter quantify_targets(const EcoMiter& m, const std::vector<uint32_t>& quanti
     next.aig.add_po(next.out, "miter");
     if (next.aig.num_ands() > max_nodes)
       throw std::runtime_error("quantify_targets: expansion exceeds node budget");
-    cur = std::move(next);
+    m = std::move(next);
   }
-  return cur;
+  return m;
 }
 
 }  // namespace eco::core

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -36,15 +37,22 @@ struct EcoMiter {
 
 /// Builds M(n, x) from an implementation AIG (problem PI conventions) and
 /// the spec, restricted to the PO indices in \p po_subset (empty = all POs).
+/// \p divisor_lits are the divisors' literals in \p impl, in divisor order.
+EcoMiter build_eco_miter(const aig::Aig& impl, const aig::Aig& spec,
+                         std::span<const aig::Lit> divisor_lits,
+                         const std::vector<uint32_t>& po_subset = {});
+
+/// The same over the literals of \p divisors.
 EcoMiter build_eco_miter(const aig::Aig& impl, const aig::Aig& spec,
                          const std::vector<Divisor>& divisors,
                          const std::vector<uint32_t>& po_subset = {});
 
 /// Universally quantifies the targets in \p quantify out of \p m:
 /// out := AND over all assignments of those target PIs of M (paper §3.1).
-/// Divisors (never in a target TFO) are preserved. Throws std::runtime_error
-/// if the expansion exceeds \p max_nodes AND nodes.
-EcoMiter quantify_targets(const EcoMiter& m, const std::vector<uint32_t>& quantify,
+/// Divisors (never in a target TFO) are preserved. With nothing to quantify
+/// \p m is returned as it is. Throws std::runtime_error if the expansion
+/// exceeds \p max_nodes AND nodes.
+EcoMiter quantify_targets(EcoMiter m, const std::vector<uint32_t>& quantify,
                           uint32_t max_nodes);
 
 /// Cofactors target \p t of \p m to a constant \p value (in place rebuild).

@@ -1,27 +1,36 @@
 #include "net/network.hpp"
 
 #include <bit>
-#include <filesystem>
-#include <fstream>
+#include <cerrno>
 #include <functional>
-#include <iterator>
 #include <string_view>
-#include <system_error>
 #include <unordered_set>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 namespace eco::net {
 
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::error_code ec;
-  const uintmax_t size = std::filesystem::file_size(path, ec);  // fails on non-regular files
-  std::string bytes(ec ? 0 : static_cast<size_t>(size), '\0');
-  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  bytes.resize(static_cast<size_t>(in.gcount()));
-  // A file that grew since the size query is still read to its end.
-  if (in) bytes.append(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  return bytes;
+bool read_file(const std::string& path, std::string& bytes) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  struct stat st {};
+  const size_t size =
+      ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) ? static_cast<size_t>(st.st_size) : 0;
+  // One spare byte: a file that grew since fstat is still read to its end.
+  bytes.resize(size + 1);
+  size_t used = 0;
+  for (;;) {
+    if (used == bytes.size()) bytes.resize(2 * bytes.size());
+    const ssize_t n = ::read(fd, bytes.data() + used, bytes.size() - used);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    used += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  bytes.resize(used);
+  return true;
 }
 
 const char* gate_type_name(GateType type) noexcept {

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -37,10 +36,11 @@ class InputError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Reads the whole file at \p path in one read; nullopt when it cannot be
-/// opened. Every file front end (the parsers' `_file` entry points and the
-/// service's content-hashed loads) reads through this.
-std::optional<std::string> read_file(const std::string& path);
+/// Reads the whole file at \p path into \p bytes, reusing their storage;
+/// false when it cannot be opened. Every file front end (the parsers'
+/// `_file` entry points and the service's content-hashed loads) reads
+/// through this.
+bool read_file(const std::string& path, std::string& bytes);
 
 /// Primitive gate types of the structural-Verilog subset.
 enum class GateType {

@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <fstream>
-#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <unordered_set>
@@ -348,9 +347,9 @@ Network parse_verilog_string(std::string_view text) {
 }
 
 Network parse_verilog_file(const std::string& path) {
-  const std::optional<std::string> text = read_file(path);
-  if (!text) throw ParseError("verilog: cannot open file: " + path);
-  return parse_verilog_string(*text);
+  std::string text;
+  if (!read_file(path, text)) throw ParseError("verilog: cannot open file: " + path);
+  return parse_verilog_string(text);
 }
 
 void write_verilog(std::ostream& out, const Network& net) {

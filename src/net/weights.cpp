@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <fstream>
-#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <vector>
@@ -59,9 +58,9 @@ WeightMap parse_weights_string(std::string_view text) {
 }
 
 WeightMap parse_weights_file(const std::string& path) {
-  const std::optional<std::string> text = read_file(path);
-  if (!text) throw ParseError("weights: cannot open file: " + path);
-  return parse_weights_string(*text);
+  std::string text;
+  if (!read_file(path, text)) throw ParseError("weights: cannot open file: " + path);
+  return parse_weights_string(text);
 }
 
 void write_weights(std::ostream& out, const WeightMap& weights) {

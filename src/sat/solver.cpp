@@ -119,7 +119,6 @@ void Solver::VarHeap::sift_down(size_t i, const std::vector<double>& act) {
 // ---------------------------------------------------------------------------
 
 Solver::Solver(const SolverOptions& options) : opts_(options) {
-  arena_.reserve(1024 * 64);
   next_tier2_shrink_ = opts_.tier2_shrink_interval;
   next_local_reduce_ = opts_.local_reduce_interval;
   local_cap_ = opts_.local_cap_base;

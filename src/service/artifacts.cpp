@@ -1,8 +1,9 @@
 #include "service/artifacts.hpp"
 
-#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdio>
-#include <optional>
+#include <cstring>
 
 #include "net/verilog.hpp"
 #include "net/weights.hpp"
@@ -11,12 +12,39 @@ namespace eco::service {
 
 namespace {
 
-/// Reads the whole file; throws net::ParseError (the parser taxonomy) when
-/// it cannot be opened, so a bad path fails the same way a bad file does.
-std::string read_file_bytes(const std::string& path) {
-  std::optional<std::string> bytes = net::read_file(path);
-  if (!bytes) throw net::ParseError(path + ": cannot open file");
-  return std::move(*bytes);
+/// Reads the whole file into \p bytes; throws net::ParseError (the parser
+/// taxonomy) when it cannot be opened, so a bad path fails the same way a
+/// bad file does.
+void read_file_bytes(const std::string& path, std::string& bytes) {
+  if (!net::read_file(path, bytes)) throw net::ParseError(path + ": cannot open file");
+}
+
+// content_hash: the xxHash64 primes and steps.
+constexpr uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+constexpr uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
+
+template <typename T>
+T load_le(const char* p) noexcept {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    if constexpr (sizeof v == 8) v = __builtin_bswap64(v);
+    else v = __builtin_bswap32(v);
+  }
+  return v;
+}
+
+/// One lane step over an 8-byte word.
+uint64_t lane_round(uint64_t acc, uint64_t word) noexcept {
+  return std::rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
+/// Folds a finished lane into the merged hash.
+uint64_t merge_lane(uint64_t h, uint64_t lane) noexcept {
+  return (h ^ lane_round(0, lane)) * kPrime1 + kPrime4;
 }
 
 /// Kind tags keep the three artifact namespaces apart in one map while the
@@ -26,20 +54,14 @@ constexpr uint64_t kKindWeights = 0x2;
 constexpr uint64_t kKindProblem = 0x3;
 
 uint64_t kind_key(uint64_t kind, uint64_t hash) noexcept {
-  // hash is FNV-mixed already; fold the kind into the top bits.
+  // hash is finalized already; fold the kind into the top bits.
   return hash ^ (kind << 61);
 }
 
 /// Combines the three content hashes into the problem/session key.
 uint64_t combine(uint64_t a, uint64_t b, uint64_t c) noexcept {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (const uint64_t v : {a, b, c}) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  return h;
+  const uint64_t words[] = {a, b, c};
+  return content_hash(std::string_view(reinterpret_cast<const char*>(words), sizeof words));
 }
 
 uint64_t approx_network_bytes(const net::Network& n, size_t file_bytes) {
@@ -62,13 +84,35 @@ uint64_t approx_problem_bytes(const core::EcoProblem& p) {
 
 }  // namespace
 
-uint64_t content_hash(const std::string& bytes) noexcept {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
+uint64_t content_hash(std::string_view bytes) noexcept {
+  const char* p = bytes.data();
+  const char* const end = p + bytes.size();
+  uint64_t h = kPrime5;
+  if (bytes.size() >= 32) {
+    uint64_t v1 = kPrime1 + kPrime2, v2 = kPrime2, v3 = 0, v4 = 0 - kPrime1;
+    for (; end - p >= 32; p += 32) {
+      v1 = lane_round(v1, load_le<uint64_t>(p));
+      v2 = lane_round(v2, load_le<uint64_t>(p + 8));
+      v3 = lane_round(v3, load_le<uint64_t>(p + 16));
+      v4 = lane_round(v4, load_le<uint64_t>(p + 24));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) + std::rotl(v4, 18);
+    h = merge_lane(merge_lane(merge_lane(merge_lane(h, v1), v2), v3), v4);
   }
-  return h;
+  h += bytes.size();
+  for (; end - p >= 8; p += 8)
+    h = std::rotl(h ^ lane_round(0, load_le<uint64_t>(p)), 27) * kPrime1 + kPrime4;
+  if (end - p >= 4) {
+    h = std::rotl(h ^ (load_le<uint32_t>(p) * kPrime1), 23) * kPrime2 + kPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p)
+    h = std::rotl(h ^ (static_cast<unsigned char>(*p) * kPrime5), 11) * kPrime1;
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  return h ^ (h >> 32);
 }
 
 std::string hash_hex(uint64_t h) {
@@ -86,10 +130,23 @@ size_t ProblemArtifact::absorb_patterns(const std::vector<std::vector<bool>>& fr
                                         size_t cap) {
   if (fresh.empty() || cap == 0) return 0;
   std::lock_guard<std::mutex> lock(mu_);
+  // Duplicates are found through one open-addressing table over the stored
+  // and adopted patterns (slot = 1 + index into patterns_, 0 = empty).
+  const size_t mask = std::bit_ceil(2 * (patterns_.size() + fresh.size())) - 1;
+  std::vector<uint32_t> slots(mask + 1, 0);
+  const auto insert_new = [&](const std::vector<bool>& p, size_t index) {
+    for (size_t s = std::hash<std::vector<bool>>{}(p) & mask;; s = (s + 1) & mask) {
+      if (slots[s] == 0) {
+        slots[s] = static_cast<uint32_t>(index + 1);
+        return true;
+      }
+      if (patterns_[slots[s] - 1] == p) return false;
+    }
+  };
+  for (size_t i = 0; i < patterns_.size(); ++i) insert_new(patterns_[i], i);
   size_t adopted = 0;
   for (const auto& p : fresh) {
-    if (p.empty()) continue;
-    if (std::find(patterns_.begin(), patterns_.end(), p) != patterns_.end()) continue;
+    if (p.empty() || !insert_new(p, patterns_.size())) continue;
     patterns_.push_back(p);
     ++adopted;
   }
@@ -146,8 +203,10 @@ void SessionCache::evict_to_budget_locked(std::vector<std::shared_ptr<void>>& vi
 }
 
 std::shared_ptr<const NetlistArtifact> SessionCache::netlist(const std::string& path,
-                                                             bool* hit) {
-  const std::string bytes = read_file_bytes(path);
+                                                             bool* hit, std::string* scratch) {
+  std::string local;
+  std::string& bytes = scratch != nullptr ? *scratch : local;
+  read_file_bytes(path, bytes);
   const uint64_t h = content_hash(bytes);
   const uint64_t key = kind_key(kKindNetlist, h);
   if (auto cached = lookup(key)) {
@@ -175,8 +234,10 @@ std::shared_ptr<const NetlistArtifact> SessionCache::netlist(const std::string& 
 }
 
 std::shared_ptr<const WeightsArtifact> SessionCache::weights(const std::string& path,
-                                                             bool* hit) {
-  const std::string bytes = read_file_bytes(path);
+                                                             bool* hit, std::string* scratch) {
+  std::string local;
+  std::string& bytes = scratch != nullptr ? *scratch : local;
+  read_file_bytes(path, bytes);
   const uint64_t h = content_hash(bytes);
   const uint64_t key = kind_key(kKindWeights, h);
   if (auto cached = lookup(key)) {
@@ -255,9 +316,10 @@ void SessionCache::clear() {
 LoadedInputs load_inputs(SessionCache& cache, const std::string& impl_path,
                          const std::string& spec_path, const std::string& weights_path) {
   LoadedInputs out;
-  out.impl = cache.netlist(impl_path, &out.impl_hit);
-  out.spec = cache.netlist(spec_path, &out.spec_hit);
-  out.weights = cache.weights(weights_path, &out.weights_hit);
+  std::string bytes;
+  out.impl = cache.netlist(impl_path, &out.impl_hit, &bytes);
+  out.spec = cache.netlist(spec_path, &out.spec_hit, &bytes);
+  out.weights = cache.weights(weights_path, &out.weights_hit, &bytes);
   return out;
 }
 

@@ -4,7 +4,7 @@
 ///
 /// Every ecopatchd job names its inputs by file path, but the service keys
 /// its warm state by *content*: the artifact of a netlist file is keyed by
-/// the 64-bit FNV-1a hash of the file bytes, so jobs hit the cache whenever
+/// the 64-bit `content_hash` of the file bytes, so jobs hit the cache whenever
 /// the bytes match — across renames, re-submissions, and concurrent
 /// sessions — and never read stale state after an edit-in-place.
 ///
@@ -43,6 +43,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -52,8 +53,13 @@
 
 namespace eco::service {
 
-/// 64-bit FNV-1a over \p bytes.
-uint64_t content_hash(const std::string& bytes) noexcept;
+/// 64-bit content hash of \p bytes: xxHash64 with seed 0. Four independent
+/// multiply-rotate lanes consume 32-byte stripes, eight little-endian bytes
+/// per lane; then the lanes merge, the length and the 0-31 tail bytes fold
+/// in, and a shift-multiply finalizer mixes every input bit into every
+/// output bit. Word-wise, it runs several times faster than a byte-serial
+/// hash, and every job hashes all three input files, hit or miss.
+uint64_t content_hash(std::string_view bytes) noexcept;
 
 /// Lower-hex rendering (16 digits) — the session-key wire format.
 std::string hash_hex(uint64_t h);
@@ -114,12 +120,17 @@ class SessionCache {
   /// Parses (or returns the cached) netlist at \p path. Throws
   /// net::ParseError on unreadable/malformed input, exactly like
   /// net::parse_verilog_file. \p hit, when non-null, reports cache hit.
+  /// \p scratch, when non-null, receives the file bytes: passing one string
+  /// to several loads reuses its storage (load_inputs reads its three files
+  /// through one).
   std::shared_ptr<const NetlistArtifact> netlist(const std::string& path,
-                                                 bool* hit = nullptr);
+                                                 bool* hit = nullptr,
+                                                 std::string* scratch = nullptr);
 
   /// Parses (or returns the cached) weight map at \p path.
   std::shared_ptr<const WeightsArtifact> weights(const std::string& path,
-                                                 bool* hit = nullptr);
+                                                 bool* hit = nullptr,
+                                                 std::string* scratch = nullptr);
 
   /// Builds (or returns the cached) elaborated problem for the artifact
   /// triple. Throws net::InputError on inconsistent interfaces, exactly

@@ -10,6 +10,9 @@
 //    POs, target quantification and substitution on multi-target units, and
 //    cofactor_pis, compose_pi and extract_cone. Every AIG built downstream
 //    of transfer depends on the order it creates nodes in, so this pins it.
+//  - UnquantifiedMiterEqualsItsRebuild: quantify_targets returns a miter
+//    with nothing to quantify as it is; on the suite units that equals a
+//    rebuild of the miter through transfer, node for node.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -87,6 +90,31 @@ uint64_t transfer_digest(const EcoProblem& p) {
   fold_aig(d, aig::extract_cone(p.impl, p.impl.po_lit(0)));
   fold_aig(d, aig::extract_cone(p.spec, p.spec.po_lit(p.spec.num_pos() - 1)));
   return d.value();
+}
+
+uint64_t miter_digest(const EcoMiter& m) {
+  Digest d;
+  fold_miter(d, m);
+  return d.value();
+}
+
+/// \p m transferred into a fresh AIG over the same PIs, from its output and
+/// every divisor, in that order.
+EcoMiter identity_rebuild(const EcoMiter& m) {
+  EcoMiter out;
+  out.num_x = m.num_x;
+  out.num_targets = m.num_targets;
+  std::vector<aig::Lit> map(m.aig.num_nodes(), aig::kLitInvalid);
+  map[0] = aig::kLitFalse;
+  for (uint32_t i = 0; i < m.aig.num_pis(); ++i)
+    map[m.aig.pi_node(i)] = out.aig.add_pi(m.aig.pi_name(i));
+  std::vector<aig::Lit> roots = {m.out};
+  roots.insert(roots.end(), m.divisor_lits.begin(), m.divisor_lits.end());
+  const std::vector<aig::Lit> lits = aig::transfer(m.aig, out.aig, roots, map);
+  out.out = lits[0];
+  out.divisor_lits.assign(lits.begin() + 1, lits.end());
+  out.aig.add_po(out.out, "miter");
+  return out;
 }
 
 TEST(EcoGolden, WindowDigests) {
@@ -167,6 +195,26 @@ TEST(EcoGolden, TransferDigests) {
   for (const Golden& g : golden) {
     const uint64_t got = transfer_digest(unit_problem(g.index, g.scale));
     EXPECT_EQ(hex(got), hex(g.digest)) << "unit " << g.index << " at scale " << g.scale;
+  }
+}
+
+TEST(EcoGolden, UnquantifiedMiterEqualsItsRebuild) {
+  // Each single-target job, and the last target of every job, quantifies
+  // nothing. Returning the miter as it is matches the rebuild when no node
+  // lies outside the cones of its output and divisors. Checked on every unit
+  // at scale 1 and on the scale-4 units of the digests above.
+  std::vector<std::pair<int, int>> units = {{1, 4}, {3, 4}, {14, 4}};
+  for (int index = 0; index < 20; ++index) units.emplace_back(index, 1);
+  for (const auto& [index, scale] : units) {
+    const EcoProblem p = unit_problem(index, scale);
+    const Window w = compute_window(p);
+    for (const std::vector<uint32_t>& pos : {std::vector<uint32_t>{}, w.affected_pos}) {
+      const EcoMiter m = build_eco_miter(p.impl, p.spec, p.divisors, pos);
+      const uint64_t digest = miter_digest(m);
+      EXPECT_EQ(hex(miter_digest(identity_rebuild(m))), hex(digest))
+          << "unit " << index << " at scale " << scale << ", " << pos.size() << " POs";
+      EXPECT_EQ(hex(miter_digest(quantify_targets(m, {}, 0))), hex(digest));
+    }
   }
 }
 

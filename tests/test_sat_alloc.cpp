@@ -15,6 +15,10 @@
 // them watch lists growing as propagation moved watches. The bounds leave
 // headroom over the amortized growth of the per-variable arrays, which is
 // logarithmic in the instance size.
+//
+// Two guards bound the bytes requested, not the calls: an empty Solver
+// (no clause-arena reserve), and a simulation bank whose rows span only the
+// word columns its patterns occupy, not the whole capacity.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,6 +28,7 @@
 #include <new>
 #include <vector>
 
+#include "aig/simbank.hpp"
 #include "benchgen/suite.hpp"
 #include "cnf/tseitin.hpp"
 #include "eco/miter.hpp"
@@ -33,8 +38,10 @@
 namespace {
 
 std::atomic<uint64_t> g_allocations{0};
+std::atomic<uint64_t> g_bytes{0};
 
 uint64_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
+uint64_t bytes_requested() { return g_bytes.load(std::memory_order_relaxed); }
 
 }  // namespace
 
@@ -43,6 +50,7 @@ uint64_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
 // -Wmismatched-new-delete.
 [[gnu::noinline]] void* operator new(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -107,6 +115,29 @@ TEST(SolverAlloc, LoadingAndSolvingScale16MiterAllocatesLittle) {
   EXPECT_LT(c.solve, 100u) << "allocations in the first solve";
   std::printf("load: %llu allocations, solve: %llu allocations\n",
               static_cast<unsigned long long>(c.load), static_cast<unsigned long long>(c.solve));
+}
+
+TEST(SolverAlloc, EmptySolverRequestsUnderFourKilobytes) {
+  const uint64_t before = bytes_requested();
+  { const Solver s(SolverOptions{}); }
+  EXPECT_LT(bytes_requested() - before, 4096u);
+}
+
+TEST(SolverAlloc, SimBankRowsSpanTheWordsInUse) {
+  // Unit 1's scale-4 miter (the warm_sessions size), default bank shape: 4
+  // seed words of 16. Up to 256 patterns a row spans 4 words; the bound
+  // allows 8 per node.
+  const benchgen::EcoUnit u = benchgen::make_unit(1, 20170912, 4);
+  const core::EcoProblem p = core::make_problem(u.impl, u.spec, u.weights);
+  const core::EcoMiter m = core::build_eco_miter(p.impl, p.spec, p.divisors);
+  const uint64_t before = bytes_requested();
+  aig::SimBank bank(m.aig, aig::SimBankOptions{});
+  EXPECT_FALSE(bank.row(aig::lit_node(m.out)).empty());
+  EXPECT_EQ(bank.num_patterns(), 256u);
+  const uint64_t requested = bytes_requested() - before;
+  EXPECT_LE(requested, uint64_t{m.aig.num_nodes()} * 8 * sizeof(uint64_t));
+  std::printf("bank over %u nodes: %llu bytes\n", m.aig.num_nodes(),
+              static_cast<unsigned long long>(requested));
 }
 
 }  // namespace

@@ -5,13 +5,17 @@
 // CI job picks the concurrency tests up.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -23,6 +27,7 @@
 #include "service/daemon.hpp"
 #include "util/jsonr.hpp"
 #include "util/ledger.hpp"
+#include "util/rng.hpp"
 
 namespace eco::service {
 namespace {
@@ -174,6 +179,118 @@ TEST(ServiceCache, ProblemArtifactAndSessionKey) {
   EXPECT_EQ(p1->num_patterns(), 2u);
   EXPECT_EQ(p1->absorb_patterns({{false, false}}, 2), 1u);
   EXPECT_EQ(p1->num_patterns(), 2u) << "cap evicts oldest";
+}
+
+/// The warm-pattern store as a linear scan: each fresh pattern is looked up
+/// with std::find over every stored one.
+size_t absorb_by_scan(std::vector<std::vector<bool>>& stored,
+                      const std::vector<std::vector<bool>>& fresh, size_t cap) {
+  if (fresh.empty() || cap == 0) return 0;
+  size_t adopted = 0;
+  for (const auto& p : fresh) {
+    if (p.empty()) continue;
+    if (std::find(stored.begin(), stored.end(), p) != stored.end()) continue;
+    stored.push_back(p);
+    ++adopted;
+  }
+  if (stored.size() > cap)
+    stored.erase(stored.begin(), stored.begin() + static_cast<ptrdiff_t>(stored.size() - cap));
+  return adopted;
+}
+
+TEST(ServiceCache, AbsorbPatternsMatchesLinearScan) {
+  // Harvests drawn from a small pool repeat each other and themselves, as a
+  // session's harvests do; a cap of 20 on every seventh call, below the
+  // size of many harvests, exercises first-in-first-out eviction.
+  ProblemArtifact artifact;
+  std::vector<std::vector<bool>> reference;
+  SplitMix64 rng(7);
+  std::vector<std::vector<bool>> pool(300);
+  for (auto& p : pool) {
+    p.resize(70);
+    for (size_t i = 0; i < p.size(); ++i) p[i] = (rng.next() & 1) != 0;
+  }
+  pool[0].clear();  // empty patterns are skipped
+  std::vector<size_t> adopted;
+  for (int call = 0; call < 200; ++call) {
+    std::vector<std::vector<bool>> fresh(rng.next() % 80);
+    for (auto& p : fresh) p = pool[rng.next() % (50 + call)];
+    const size_t cap = call % 7 == 6 ? 20 : 256;
+    const size_t expect = absorb_by_scan(reference, fresh, cap);
+    ASSERT_EQ(artifact.absorb_patterns(fresh, cap), expect) << "call " << call;
+    ASSERT_EQ(artifact.warm_patterns(), reference) << "call " << call;
+    adopted.push_back(expect);
+  }
+  EXPECT_EQ(artifact.num_patterns(), reference.size());
+  // The counts themselves, pinned so a change in both copies shows.
+  const std::vector<size_t> first = {41, 5, 1, 3, 1, 1, 1, 15, 13, 7, 4, 0};
+  EXPECT_EQ(std::vector<size_t>(adopted.begin(), adopted.begin() + 12), first);
+}
+
+TEST(ServiceHash, KnownAnswers) {
+  // Published xxHash64 values (seed 0), then one pinned longer input.
+  EXPECT_EQ(content_hash(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(content_hash("a"), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(content_hash("abc"), 0x44bc2cf5ad770999ULL);
+  EXPECT_EQ(content_hash("Nobody inspects the spammish repetition"), 0xfbcea83c8a378bf1ULL);
+  std::string alphabet;
+  for (int i = 0; i < 100; ++i) alphabet += static_cast<char>('a' + i % 26);
+  EXPECT_EQ(content_hash(alphabet), 0x79c9fa152bb53c71ULL);
+}
+
+TEST(ServiceHash, EveryBitFlipChangesTheHash) {
+  std::string bytes(4096, '\0');
+  SplitMix64 rng(3);
+  for (char& c : bytes) c = static_cast<char>(rng.next());
+  const uint64_t base = content_hash(bytes);
+  for (size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+    ASSERT_NE(content_hash(bytes), base) << "bit " << bit;
+    bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+  }
+}
+
+TEST(ServiceHash, EveryPrefixLengthHashesDifferently) {
+  // A run of equal bytes: only the length tells the prefixes apart.
+  const std::string bytes(100, 'x');
+  std::set<uint64_t> seen;
+  for (size_t n = 0; n <= bytes.size(); ++n)
+    EXPECT_TRUE(seen.insert(content_hash(std::string_view(bytes).substr(0, n))).second)
+        << "length " << n;
+}
+
+TEST(ServiceHash, IndependentOfAlignment) {
+  std::string payload(77, '\0');
+  SplitMix64 rng(5);
+  for (char& c : payload) c = static_cast<char>(rng.next());
+  const uint64_t expect = content_hash(payload);
+  std::string buffer(payload.size() + 16, '#');
+  for (size_t offset = 0; offset < 16; ++offset) {
+    std::copy(payload.begin(), payload.end(), buffer.begin() + static_cast<ptrdiff_t>(offset));
+    EXPECT_EQ(content_hash(std::string_view(buffer).substr(offset, payload.size())), expect)
+        << "offset " << offset;
+  }
+}
+
+TEST(ServiceCache, OneScratchBufferReadsEachFileWhole) {
+  // load_inputs reads three files of different sizes through one string: a
+  // short file read after a long one must not keep the long one's tail.
+  const auto a = write_unit("scratch", 1);
+  std::string scratch;
+  SessionCache cache(0);
+  std::array<uint64_t, 3> hashes{};
+  for (size_t i = 0; i < 3; ++i) {
+    std::ifstream in(a[i], std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    hashes[i] = content_hash(bytes);
+  }
+  EXPECT_EQ(cache.netlist(a[0], nullptr, &scratch)->hash, hashes[0]);
+  EXPECT_EQ(cache.weights(a[2], nullptr, &scratch)->hash, hashes[2]);
+  EXPECT_EQ(cache.netlist(a[1], nullptr, &scratch)->hash, hashes[1]);
+  const LoadedInputs in = load_inputs(cache, a[0], a[1], a[2]);
+  EXPECT_EQ(in.impl->hash, hashes[0]);
+  EXPECT_EQ(in.spec->hash, hashes[1]);
+  EXPECT_EQ(in.weights->hash, hashes[2]);
 }
 
 TEST(ServiceCache, MissingFileThrowsParseError) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
@@ -124,6 +126,135 @@ TEST(SimBank, CapacityCapRespected) {
   EXPECT_TRUE(bank.full());
   EXPECT_FALSE(bank.add_pattern(std::vector<bool>(m.aig.num_pis(), false)));
   EXPECT_EQ(bank.num_patterns(), 64u);
+}
+
+/// A full-stride bank: every row spans the whole capacity and the buffer is
+/// zero-filled. The reference of the differential test below.
+class FullStrideBank {
+ public:
+  FullStrideBank(const aig::Aig& g, const aig::SimBankOptions& options) : g_(&g) {
+    const uint64_t nodes = std::max<uint64_t>(1, g.num_nodes());
+    capacity_ = std::max<uint64_t>(
+        1, std::min<uint64_t>(options.capacity_words, options.memory_budget_bytes / (8 * nodes)));
+    const size_t seed_words = std::min<size_t>(options.seed_words, capacity_);
+    known_ = g.num_nodes();
+    words_.assign(known_ * capacity_, 0);
+    const std::vector<uint64_t> pi_words = aig::random_pi_words(g, options.seed, seed_words);
+    for (uint32_t i = 0; i < g.num_pis(); ++i)
+      for (size_t w = 0; w < seed_words; ++w)
+        words_[g.pi_node(i) * capacity_ + w] = pi_words[i * seed_words + w];
+    patterns_ = static_cast<uint32_t>(seed_words * 64);
+  }
+
+  bool add_pattern(const std::vector<bool>& pi_values) {
+    if (patterns_ >= capacity_ * 64) return false;
+    const size_t w = patterns_ / 64;
+    for (uint32_t i = 0; i < g_->num_pis(); ++i)
+      if (pi_values[i]) words_[g_->pi_node(i) * capacity_ + w] |= 1ULL << (patterns_ % 64);
+    ++patterns_;
+    clean_ = std::min(clean_, w);
+    return true;
+  }
+
+  std::span<const uint64_t> row(aig::Node n) {
+    const size_t target = (patterns_ + 63) / 64;
+    const auto simulate = [&](aig::Node m, size_t from, size_t to) {
+      const aig::Lit a = g_->fanin0(m), b = g_->fanin1(m);
+      const uint64_t ma = aig::lit_compl(a) ? ~0ULL : 0ULL;
+      const uint64_t mb = aig::lit_compl(b) ? ~0ULL : 0ULL;
+      for (size_t w = from; w < to; ++w)
+        words_[m * capacity_ + w] = (words_[aig::lit_node(a) * capacity_ + w] ^ ma) &
+                                    (words_[aig::lit_node(b) * capacity_ + w] ^ mb);
+    };
+    if (g_->num_nodes() > known_) {
+      words_.resize(g_->num_nodes() * capacity_, 0);
+      for (aig::Node m = static_cast<aig::Node>(known_); m < g_->num_nodes(); ++m)
+        simulate(m, 0, clean_);
+      resim_ += (g_->num_nodes() - known_) * clean_;
+      known_ = g_->num_nodes();
+    }
+    if (clean_ < target) {
+      for (aig::Node m = g_->num_pis() + 1; m < known_; ++m) simulate(m, clean_, target);
+      resim_ += g_->num_ands() * (target - clean_);
+      clean_ = target;
+    }
+    return {words_.data() + n * capacity_, target};
+  }
+
+  uint64_t resim_node_words() const { return resim_; }
+
+ private:
+  const aig::Aig* g_;
+  size_t capacity_ = 0, known_ = 0, clean_ = 0;
+  uint32_t patterns_ = 0;
+  std::vector<uint64_t> words_;
+  uint64_t resim_ = 0;
+};
+
+/// Leaves \p bytes of poisoned memory in the allocator's free lists, so a
+/// bank word read before it is simulated or zeroed differs from the
+/// reference. Blocks stay below glibc's 128 KB mmap threshold, whose chunks
+/// would go back to the system on free.
+void poison_free_memory(size_t bytes) {
+  bytes = std::min<size_t>(bytes, 120 << 10);
+  void* block = std::malloc(bytes);
+  ASSERT_NE(block, nullptr);
+  std::memset(block, 0xa5, bytes);
+  std::free(block);
+}
+
+TEST(SimBank, MatchesFullStrideReference) {
+  // Random AIGs that grow after the banks are built, and random pattern
+  // batches up to and past the capacity, under several seed/capacity shapes
+  // (a small memory budget lowers the capacity).
+  Rng rng(2024);
+  const uint32_t shapes[][2] = {{4, 16}, {1, 2}, {0, 3}, {2, 5}, {3, 8}, {4, 4}, {1, 1}};
+  int reached_full = 0;
+  for (int round = 0; round < 28; ++round) {
+    const auto& shape = shapes[round % 7];
+    aig::Aig g;
+    std::vector<aig::Lit> pool;
+    const int num_pis = 1 + static_cast<int>(rng.below(40));
+    for (int i = 0; i < num_pis; ++i) pool.push_back(g.add_pi());
+    const auto grow = [&](uint64_t ands) {
+      for (uint64_t i = 0; i < ands; ++i)
+        pool.push_back(g.add_and(aig::lit_notif(pool[rng.below(pool.size())], rng.chance(1, 2)),
+                                 aig::lit_notif(pool[rng.below(pool.size())], rng.chance(1, 2))));
+    };
+    grow(rng.below(300));
+    aig::SimBankOptions opt;
+    opt.seed_words = shape[0];
+    opt.capacity_words = shape[1];
+    opt.seed = rng.next();
+    if (round >= 21) opt.memory_budget_bytes = 8 * g.num_nodes() * 3;
+    FullStrideBank ref(g, opt);
+    poison_free_memory(8 * g.num_nodes() * std::max<size_t>(1, shape[0]));
+    aig::SimBank bank(g, opt);
+    for (int step = 0; step < 12; ++step) {
+      poison_free_memory(16 * g.num_nodes() * shape[1] + 4096);
+      for (uint64_t op = 1 + rng.below(4); op-- > 0;) {
+        if (rng.chance(1, 3)) {
+          grow(rng.below(60));
+          continue;
+        }
+        for (uint64_t k = rng.below(rng.chance(1, 4) ? 400 : 70); k-- > 0;) {
+          std::vector<bool> pattern(g.num_pis());
+          for (size_t i = 0; i < pattern.size(); ++i) pattern[i] = rng.chance(1, 2);
+          ASSERT_EQ(bank.add_pattern(pattern), ref.add_pattern(pattern));
+        }
+      }
+      for (aig::Node n = 0; n < g.num_nodes(); ++n) {
+        const auto want = ref.row(n);
+        const auto got = bank.row(n);
+        ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+            << "round " << round << " step " << step << " node " << n;
+      }
+      ASSERT_EQ(bank.resim_node_words(), ref.resim_node_words())
+          << "round " << round << " step " << step;
+    }
+    reached_full += bank.full() ? 1 : 0;
+  }
+  EXPECT_GE(reached_full, 7) << "too few rounds reached the capacity";
 }
 
 /// Every harvested counterexample must evaluate the miter to the recorded
