@@ -227,15 +227,6 @@ void BM_ComputeWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeWindow)->Arg(1)->Arg(14)->Unit(benchmark::kMillisecond);
 
-// The window under --cec sweep: adds divisor discovery and, per outside PO,
-// the sweep-size test that picks sweep_check or check_const0.
-void BM_ComputeWindowSweep(benchmark::State& state) {
-  const eco::core::EcoProblem& p = scale16_problem(static_cast<int>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(eco::core::compute_window(p, -1, eco::cec::CecMode::kSweep));
-}
-BENCHMARK(BM_ComputeWindowSweep)->Arg(1)->Arg(14)->Unit(benchmark::kMillisecond);
-
 // One transfer over every PO: the dense-cone case (miter construction,
 // cofactoring, substitution).
 void BM_TransferWholeGraph(benchmark::State& state) {

@@ -10,13 +10,7 @@
 //
 // Usage: bench_table1 [--seed N] [--unit K] [--budget SECONDS] [--jobs N]
 //                     [--json FILE] [--ledger FILE] [--ladder 0|1]
-//                     [--par-sat off|on] [--cec mono|sweep]
-//
-// --cec selects the equivalence-checking backend for every engine run
-// (verification and window divisor discovery): `mono` (default, bit-identical
-// with previous releases) or `sweep`, the SAT-sweeping engine of
-// docs/SWEEPING.md. The JSON header records the mode and each record carries
-// a `sweep` stats block (all zero under mono).
+//                     [--par-sat off|on]
 //
 // The strategy ladder is OFF by default here (unlike the engine default):
 // Table 1 compares the three configurations as-is, so escalation to other
@@ -38,9 +32,10 @@
 // With --json FILE, one machine-readable record per (unit, configuration)
 // run is written as a JSON array (schema `ecopatch-bench-table1-v1`,
 // docs/OBSERVABILITY.md): unit shape, algorithm, outcome, phase breakdown,
-// SAT conflict/propagation totals, cost, gates, seconds, cpu_seconds. This
-// is the stable perf-trajectory format future PRs compare against
-// (BENCH_table1.json).
+// SAT conflict/propagation totals, a `sweep` stats block (all zero unless
+// the final check escalated to SAT sweeping, docs/SWEEPING.md), cost, gates,
+// seconds, cpu_seconds. This is the stable perf-trajectory format later
+// changes compare against (BENCH_table1.json).
 
 #include <cerrno>
 #include <cinttypes>
@@ -55,7 +50,6 @@
 
 #include "benchgen/suite.hpp"
 #include "benchgen/weightgen.hpp"
-#include "cec/sweep.hpp"
 #include "eco/engine.hpp"
 #include "eco/problem.hpp"
 #include "sat/parsolve.hpp"
@@ -91,12 +85,11 @@ double thread_cpu_seconds() {
 }
 
 RunRow run_config(const eco::core::EcoProblem& problem, eco::core::Algorithm algorithm,
-                  double budget, bool ladder, eco::cec::CecMode cec_mode) {
+                  double budget, bool ladder) {
   eco::core::EngineOptions options;
   options.algorithm = algorithm;
   options.time_budget = budget;
   options.ladder = ladder;
-  options.cec_mode = cec_mode;
   options.conflict_budget = 300000;
   // Moderate expansion cap: large multi-target units fall back to the
   // structural path, as the hard units do in the paper.
@@ -158,7 +151,6 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--seed N] [--unit K] [--budget SECONDS] [--jobs N] [--json FILE]\n"
                "          [--ledger FILE] [--ladder 0|1] [--par-sat off|on]\n"
-               "          [--cec mono|sweep]\n"
                "  --seed N          benchmark-suite generator seed (default 20170912)\n"
                "  --unit K          run only unit K (0..%d)\n"
                "  --budget SECONDS  per-run engine time budget > 0 (default 15)\n"
@@ -171,10 +163,7 @@ int usage(const char* argv0) {
                "                    the configurations as-is)\n"
                "  --par-sat MODE    intra-query parallel SAT: off | on\n"
                "                    (default: ECO_PAR_SAT, else off; 'on' keeps\n"
-               "                    outcome fields deterministic)\n"
-               "  --cec MODE        equivalence-checking backend: mono | sweep\n"
-               "                    (default: ECO_CEC, else mono; see\n"
-               "                    docs/SWEEPING.md)\n",
+               "                    outcome fields deterministic)\n",
                argv0, eco::benchgen::kNumUnits - 1);
   return 2;
 }
@@ -187,7 +176,6 @@ int main(int argc, char** argv) {
   double budget = 15.0;
   int jobs = eco::util::default_jobs();
   bool ladder = false;
-  eco::cec::CecMode cec_mode = eco::cec::CecOptions::defaults().mode;
   eco::sat::ParSolveOptions par_opts = eco::sat::ParSolveOptions::defaults();
   std::string json_path, ledger_path;
   for (int i = 1; i < argc; ++i) {
@@ -230,12 +218,6 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(arg, "--par-sat")) {
       if (operand == nullptr || !eco::sat::parse_par_mode(operand, par_opts.mode)) {
         std::fprintf(stderr, "%s: --par-sat needs off or on\n", argv[0]);
-        return usage(argv[0]);
-      }
-      ++i;
-    } else if (!std::strcmp(arg, "--cec")) {
-      if (operand == nullptr || !eco::cec::parse_cec_mode(operand, cec_mode)) {
-        std::fprintf(stderr, "%s: --cec needs mono or sweep\n", argv[0]);
         return usage(argv[0]);
       }
       ++i;
@@ -297,7 +279,7 @@ int main(int argc, char** argv) {
     const eco::benchgen::EcoUnit unit = eco::benchgen::make_unit(task.unit, seed);
     const eco::core::EcoProblem problem =
         eco::core::make_problem(unit.impl, unit.spec, unit.weights);
-    results[t] = run_config(problem, kAlgos[task.cfg], budget, ladder, cec_mode);
+    results[t] = run_config(problem, kAlgos[task.cfg], budget, ladder);
   });
   const double sweep_wall = sweep_timer.seconds();
 
@@ -311,7 +293,6 @@ int main(int argc, char** argv) {
   json.kv("budget_seconds", budget);
   json.kv("ladder", ladder);
   json.kv("par_sat", eco::sat::par_mode_name(par_opts.mode));
-  json.kv("cec", eco::cec::cec_mode_name(cec_mode));
   json.kv("jobs", executor.jobs());
   json.kv("sweep_wall_seconds", sweep_wall);
   json.key("runs");

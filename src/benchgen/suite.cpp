@@ -132,11 +132,4 @@ EcoUnit make_unit(int index, uint64_t seed, int scale) {
   return unit;
 }
 
-std::vector<EcoUnit> make_contest_suite(uint64_t seed, int scale) {
-  std::vector<EcoUnit> suite;
-  suite.reserve(kNumUnits);
-  for (int i = 0; i < kNumUnits; ++i) suite.push_back(make_unit(i, seed, scale));
-  return suite;
-}
-
 }  // namespace eco::benchgen

@@ -34,9 +34,6 @@ struct EcoUnit {
 /// netlist, so fanout cones widen and rewires reach proportionally farther.
 EcoUnit make_unit(int index, uint64_t seed = 20170912, int scale = 1);
 
-/// Builds all 20 units.
-std::vector<EcoUnit> make_contest_suite(uint64_t seed = 20170912, int scale = 1);
-
 /// Number of units in the suite.
 constexpr int kNumUnits = 20;
 

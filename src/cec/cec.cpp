@@ -221,13 +221,24 @@ CecResult check_equivalence(const aig::Aig& a, const aig::Aig& b,
       }
     }
   }
-  // Past the size threshold the sweeping engine amortizes the single big
-  // SAT query into many small class proofs (--cec sweep, default off).
-  const CecOptions& copts = CecOptions::defaults();
-  if (copts.mode == CecMode::kSweep && miter.num_ands() >= copts.min_nodes)
-    return sweep_check(miter, out, conflict_budget, deadline, {}, cancel, executor, copts.sweep)
-        .cec;
-  return check_const0(miter, out, conflict_budget, deadline, {}, cancel);
+  return check_miter(miter, out, conflict_budget, deadline, {}, cancel, executor).cec;
+}
+
+SweepResult check_miter(const aig::Aig& g, aig::Lit root, int64_t conflict_budget,
+                        const eco::Deadline& deadline,
+                        std::span<const std::vector<bool>> seed_patterns,
+                        const eco::CancelToken& cancel, eco::util::Executor* executor,
+                        int64_t mono_conflict_cap) {
+  // A caller budget within the cap is the caller's limit, not a reason to
+  // switch engines.
+  const bool capped = conflict_budget < 0 || conflict_budget > mono_conflict_cap;
+  SweepResult result;
+  result.cec = check_const0(g, root, capped ? mono_conflict_cap : conflict_budget, deadline,
+                            seed_patterns, cancel);
+  if (result.cec.status != Status::kUnknown || !capped || deadline.expired() ||
+      cancel.cancelled())
+    return result;
+  return sweep_check(g, root, conflict_budget, deadline, seed_patterns, cancel, executor);
 }
 
 }  // namespace eco::cec

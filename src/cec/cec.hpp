@@ -39,7 +39,9 @@ aig::Aig build_miter(const aig::Aig& a, const aig::Aig& b);
 /// Checks functional equivalence of \p a and \p b.
 ///
 /// Random simulation screens for cheap counterexamples first; the residue is
-/// decided by SAT. \p conflict_budget < 0 means unlimited.
+/// decided by `check_miter` (cec/sweep.hpp): the monolithic SAT query under a
+/// conflict cap, then SAT sweeping if it stays undecided.
+/// \p conflict_budget < 0 means unlimited.
 ///
 /// Each simulation round draws from its own seed derived from the round
 /// index, so the screening is deterministic regardless of how rounds are

@@ -1,9 +1,6 @@
 #include "cec/sweep.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -17,59 +14,6 @@
 #include "util/telemetry.hpp"
 
 namespace eco::cec {
-
-const char* cec_mode_name(CecMode m) noexcept {
-  switch (m) {
-    case CecMode::kMono: return "mono";
-    case CecMode::kSweep: return "sweep";
-  }
-  return "?";
-}
-
-bool parse_cec_mode(std::string_view text, CecMode& out) noexcept {
-  if (text == "mono" || text == "off") {
-    out = CecMode::kMono;
-    return true;
-  }
-  if (text == "sweep" || text == "on") {
-    out = CecMode::kSweep;
-    return true;
-  }
-  return false;
-}
-
-// ---------------------------------------------------------------------------
-// CecOptions: process-wide, env-seeded defaults (the ParSolveOptions idiom)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-CecOptions env_seeded_cec_defaults() {
-  CecOptions o;
-  if (const char* v = std::getenv("ECO_CEC")) {
-    CecMode mode;
-    if (parse_cec_mode(v, mode)) o.mode = mode;
-  }
-  if (const char* v = std::getenv("ECO_CEC_MIN_NODES")) {
-    char* end = nullptr;
-    const unsigned long n = std::strtoul(v, &end, 10);
-    if (end != v && *end == '\0') o.min_nodes = static_cast<uint32_t>(n);
-  }
-  return o;
-}
-
-CecOptions& mutable_cec_defaults() {
-  static CecOptions o = env_seeded_cec_defaults();
-  return o;
-}
-
-}  // namespace
-
-const CecOptions& CecOptions::defaults() noexcept { return mutable_cec_defaults(); }
-
-void CecOptions::set_defaults(const CecOptions& opts) noexcept {
-  mutable_cec_defaults() = opts;
-}
 
 void SweepStats::accumulate(const SweepStats& other) noexcept {
 #define ECO_X(name) name += other.name;
@@ -119,7 +63,7 @@ struct TaskResult {
 
 class Sweeper {
  public:
-  Sweeper(const aig::Aig& g, std::span<const aig::Lit> roots, const SweepOptions& opts,
+  Sweeper(const aig::Aig& g, aig::Lit root, const SweepOptions& opts,
           const eco::Deadline& deadline, const eco::CancelToken& cancel,
           util::Executor* executor)
       : g_(g),
@@ -128,7 +72,7 @@ class Sweeper {
         cancel_(cancel),
         executor_(executor),
         bank_(g, bank_options(g, opts)) {
-    mark_cones(roots);
+    mark_cone(root);
     parent_.resize(g_.num_nodes());
     pphase_.assign(g_.num_nodes(), 0);
     for (aig::Node n = 0; n < g_.num_nodes(); ++n) parent_[n] = n;
@@ -167,14 +111,6 @@ class Sweeper {
     return true;
   }
 
-  /// sweep_check sets the root before run(): each round then opens with a
-  /// budgeted root query on the current reduced miter (see
-  /// SweepOptions::probe_conflict_budget), and a definitive answer ends the
-  /// sweep early with the verdict in probe_status()/probe_cex().
-  void set_probe_root(aig::Lit root) noexcept { probe_root_ = root; }
-  Status probe_status() const noexcept { return probe_status_; }
-  std::vector<bool> take_probe_cex() { return std::move(probe_cex_); }
-
   /// Runs the refine/prove/merge rounds. Returns early (without error) on
   /// deadline/cancellation; the reduced AIG is valid either way.
   void run() {
@@ -183,7 +119,6 @@ class Sweeper {
     for (uint32_t round = 0; round < opts_.max_rounds; ++round) {
       if (interrupted()) break;
       build_reduced();
-      if (probe(round)) break;
       std::vector<ClassTask> tasks = build_classes();
       if (tasks.empty()) break;
       stats_.rounds += 1;
@@ -252,11 +187,10 @@ class Sweeper {
     return deadline_.expired() || (cancel_.valid() && cancel_.cancelled());
   }
 
-  void mark_cones(std::span<const aig::Lit> roots) {
+  void mark_cone(aig::Lit root) {
     in_cone_.assign(g_.num_nodes(), 0);
     in_cone_[0] = 1;
-    std::vector<aig::Node> stack;
-    for (const aig::Lit l : roots) stack.push_back(aig::lit_node(l));
+    std::vector<aig::Node> stack = {aig::lit_node(root)};
     while (!stack.empty()) {
       const aig::Node n = stack.back();
       stack.pop_back();
@@ -700,64 +634,6 @@ class Sweeper {
            static_cast<uint64_t>(rel);
   }
 
-  /// Budgeted root query on the current reduced miter (sweep_check only).
-  /// Both answers are definitive — the reduction applies only accepted
-  /// merges, so UNSAT transfers to the original miter, and a model's PI
-  /// assignment is a genuine counterexample. Returns true when decided.
-  bool probe(uint32_t round) {
-    if (probe_root_ == aig::kLitInvalid || opts_.probe_conflict_budget <= 0) return false;
-    const aig::Lit rl = image(probe_root_);
-    if (rl == aig::kLitFalse) {
-      probe_status_ = Status::kEquivalent;
-      return true;
-    }
-    std::vector<bool> witness;
-    if (rl == aig::kLitTrue) {
-      probe_status_ = Status::kNotEquivalent;
-      probe_cex_.assign(g_.num_pis(), false);
-      return true;
-    }
-    // Counterexamples harvested in earlier rounds may already witness it.
-    if (bank_hit(probe_root_, witness)) {
-      probe_status_ = Status::kNotEquivalent;
-      probe_cex_ = std::move(witness);
-      return true;
-    }
-    // The SAT hunt runs once, before any sweeping: it is the monolithic
-    // engine's shot at an easy counterexample, so an easy-SAT miter costs
-    // monolithic price instead of a full sweep. It is not repeated on later
-    // rounds — conflicts on the still-large miter are expensive and for an
-    // equivalent miter every repeat is pure waste; the free bank check above
-    // still runs each round, and the final root query settles the residue.
-    if (round > 0) return false;
-    // No phase seeding here, deliberately: seeding steers the search toward
-    // the typical simulated values, which is exactly where a rare
-    // counterexample is NOT (the class proofs want typical, the probe wants
-    // atypical).
-    sat::Solver solver;
-    solver.set_deadline(deadline_);
-    solver.set_cancel(cancel_);
-    cnf::Encoder enc(reduced_, solver);
-    const sat::Lit out = enc.lit(rl);
-    solver.add_unit(out);
-    solver.set_conflict_budget(opts_.probe_conflict_budget);
-    const sat::LBool res = solver.solve();
-    if (res.is_false()) {
-      probe_status_ = Status::kEquivalent;
-      return true;
-    }
-    if (res.is_true()) {
-      probe_status_ = Status::kNotEquivalent;
-      probe_cex_.assign(g_.num_pis(), false);
-      for (uint32_t i = 0; i < reduced_.num_pis(); ++i) {
-        const aig::Node pn = reduced_.pi_node(i);
-        if (enc.encoded(pn)) probe_cex_[i] = solver.model_value(enc.var(pn));
-      }
-      return true;
-    }
-    return false;  // budget exhausted: keep sweeping
-  }
-
   const aig::Aig& g_;
   const SweepOptions opts_;
   const eco::Deadline& deadline_;
@@ -777,9 +653,6 @@ class Sweeper {
   /// build_classes so a refutation is final even when the bank is too full
   /// to absorb its counterexample pattern.
   std::unordered_set<uint64_t> refuted_;
-  aig::Lit probe_root_ = aig::kLitInvalid;
-  Status probe_status_ = Status::kUnknown;
-  std::vector<bool> probe_cex_;
   SweepStats stats_;
 };
 
@@ -835,8 +708,7 @@ SweepResult sweep_check(const aig::Aig& g, aig::Lit root, int64_t conflict_budge
     return result;
   }
 
-  const aig::Lit roots[1] = {root};
-  Sweeper sweeper(g, roots, options, deadline, cancel, executor);
+  Sweeper sweeper(g, root, options, deadline, cancel, executor);
   sweeper.add_seed_patterns(seed_patterns);
 
   // The bank's random patterns (plus the caller's seeds) double as the
@@ -850,19 +722,8 @@ SweepResult sweep_check(const aig::Aig& g, aig::Lit root, int64_t conflict_budge
     return result;
   }
 
-  sweeper.set_probe_root(root);
   sweeper.run();
   result.proven = sweeper.take_proven();
-
-  // A definitive between-rounds root probe ends the check (see probe()).
-  if (sweeper.probe_status() != Status::kUnknown) {
-    result.cec.status = sweeper.probe_status();
-    if (result.cec.status == Status::kNotEquivalent)
-      result.cec.counterexample = sweeper.take_probe_cex();
-    result.stats = sweeper.stats();
-    append_check(result, false);
-    return result;
-  }
 
   // Counterexamples harvested during the sweep may already excite the root.
   if (sweeper.bank_hit(root, witness)) {
@@ -915,22 +776,6 @@ SweepResult sweep_check(const aig::Aig& g, aig::Lit root, int64_t conflict_budge
   }
   result.stats = stats;
   append_check(result, false);
-  return result;
-}
-
-SweepResult sweep_discover(const aig::Aig& g, std::span<const aig::Lit> roots,
-                           const eco::Deadline& deadline, const eco::CancelToken& cancel,
-                           util::Executor* executor, const SweepOptions& options) {
-  ECO_TELEMETRY_PHASE("sweep");
-  ECO_TELEMETRY_COUNT("sweep.discoveries");
-  auto ledger_scope = ledger::ScopedPurpose::weak(ledger::Purpose::kSweep);
-  SweepResult result;
-  if (roots.empty()) return result;
-  Sweeper sweeper(g, roots, options, deadline, cancel, executor);
-  sweeper.run();
-  result.proven = sweeper.take_proven();
-  result.stats = sweeper.stats();
-  publish_telemetry(result.stats);
   return result;
 }
 

@@ -1,7 +1,7 @@
 /// \file sweep.hpp
-/// \brief SAT sweeping (fraiging): equivalence checking and equivalent-node
-/// discovery by simulation-signature classes refined with small incremental
-/// SAT proofs.
+/// \brief SAT sweeping (fraiging): equivalence checking by
+/// simulation-signature classes refined with small incremental SAT proofs,
+/// and the per-check rule that picks it over the monolithic query.
 ///
 /// The monolithic CEC path (cec/cec.hpp) poses one SAT query for the whole
 /// miter; past contest size that single query is the scaling wall. The
@@ -68,6 +68,10 @@
 /// packed patterns), so the search starts in the region simulation says is
 /// typical (*Circuit-Aware SAT Solving*, PAPERS.md).
 ///
+/// `check_miter` (below) is the one place that chooses between the engines:
+/// the monolithic query first, under a conflict cap, and the sweep only for
+/// a check that query leaves undecided.
+///
 /// Observability: `sweep.*` telemetry counters, ledger purpose `sweep` for
 /// the class-proving solves, and a `sweep` block in the engine outcome JSON
 /// (docs/OBSERVABILITY.md). Algorithm details and tuning: docs/SWEEPING.md.
@@ -75,7 +79,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -89,17 +92,6 @@ class Executor;
 }
 
 namespace eco::cec {
-
-/// The --cec flag: monolithic single-query CEC or SAT sweeping.
-enum class CecMode : uint8_t {
-  kMono = 0,  ///< miter + random sim + one SAT query (the default)
-  kSweep,     ///< signature classes + incremental proofs + merge
-};
-const char* cec_mode_name(CecMode m) noexcept;
-
-/// Parses a --cec flag value ("mono" | "sweep"). Returns false (and leaves
-/// \p out untouched) on anything else.
-bool parse_cec_mode(std::string_view text, CecMode& out) noexcept;
 
 /// Sweeping engine knobs.
 struct SweepOptions {
@@ -120,38 +112,11 @@ struct SweepOptions {
   /// parallel grain). Fixed by option, never by executor width, so results
   /// are width-invariant. <= 0: the default.
   int64_t chunk_classes = 128;
-  /// Root-probe budget for sweep_check: before any sweeping, the root is
-  /// queried once with this many conflicts (unseeded — a counterexample
-  /// hunt). A definitive answer ends the check at monolithic price; on
-  /// budget exhaustion the sweep proceeds, re-checking only the free
-  /// bank-hit screen between rounds. <= 0 (the default) disables probing:
-  /// probe conflicts on the unreduced miter cost full monolithic price, so
-  /// the hunt only pays off against differences too rare for the signature
-  /// bank yet easy for the solver — the adversarial corner, not the common
-  /// one. sweep_discover never probes.
-  int64_t probe_conflict_budget = 0;
   /// Wall-clock slice for one chunk task when the caller's CancelToken is
   /// stoppable (CancelToken::child discipline).
   double class_slice_seconds = 5.0;
   /// Random seed for the signature bank fill.
   uint64_t seed = 0x51bba9c5eedULL;
-};
-
-/// Process-wide CEC engine selection, mirroring ParSolveOptions: `defaults()`
-/// is env-seeded on first use (`ECO_CEC=mono|sweep`, `ECO_CEC_MIN_NODES=N`)
-/// and replaceable via `set_defaults` (bench/CLI `--cec`). The default mode
-/// is kMono, so every existing outcome is bit-identical unless sweeping is
-/// requested.
-struct CecOptions {
-  CecMode mode = CecMode::kMono;
-  /// check_equivalence escalates to sweeping only when the miter has at
-  /// least this many AND nodes; smaller miters stay on the monolithic path
-  /// whose single query beats the sweep's setup cost.
-  uint32_t min_nodes = 1000;
-  SweepOptions sweep{};
-
-  static const CecOptions& defaults() noexcept;
-  static void set_defaults(const CecOptions& opts) noexcept;
 };
 
 /// The sweep counters as an X-macro list (docs/OBSERVABILITY.md).
@@ -190,8 +155,8 @@ struct EquivPair {
   aig::Lit b = aig::kLitInvalid;
 };
 
-/// Outcome of a sweep: the CEC verdict (for sweep_check), the proven
-/// equivalent pairs over the input AIG, and the stats.
+/// Outcome of a sweep: the CEC verdict, the proven equivalent pairs over the
+/// input AIG, and the stats.
 struct SweepResult {
   CecResult cec;
   SweepStats stats;
@@ -209,18 +174,30 @@ SweepResult sweep_check(const aig::Aig& g, aig::Lit root, int64_t conflict_budge
                         std::span<const std::vector<bool>> seed_patterns = {},
                         const eco::CancelToken& cancel = {},
                         util::Executor* executor = nullptr,
-                        const SweepOptions& options = CecOptions::defaults().sweep);
+                        const SweepOptions& options = {});
 
-/// Runs the class/prove/merge loop over the cones of \p roots without
-/// deciding anything: the product is `SweepResult::proven`, the equivalent
-/// literal pairs among the cones' nodes. This is the divisor-discovery entry
-/// (ROADMAP item 2 payoff): proven-equivalent divisors are zero-cost
-/// structural duplicates the window stage can collapse. `cec.status` is
-/// always kUnknown.
-SweepResult sweep_discover(const aig::Aig& g, std::span<const aig::Lit> roots,
-                           const eco::Deadline& deadline = {},
-                           const eco::CancelToken& cancel = {},
-                           util::Executor* executor = nullptr,
-                           const SweepOptions& options = CecOptions::defaults().sweep);
+/// Conflict cap of check_miter's monolithic query: about twice the 15,844
+/// conflicts of the largest Table-1 final check below 100,000 (the sizing
+/// data are in docs/SWEEPING.md, "Sizing the cap").
+inline constexpr int64_t kMonoConflictCap = 32000;
+
+/// Decides whether \p root is constant 0 on \p g, choosing the engine per
+/// check: `check_const0` under at most \p mono_conflict_cap conflicts, and
+/// only when that query stays undecided, `sweep_check` on the same AIG,
+/// seeds, deadline, cancel token and \p executor. A check the monolithic
+/// query decides returns its result as is, with zero sweep stats.
+///
+/// A caller \p conflict_budget (>= 0) at or under the cap is the caller's
+/// limit: the monolithic query runs under it and an undecided answer is
+/// returned without a sweep. A larger budget bounds the sweep's final root
+/// query, as in sweep_check. An expired deadline or a cancelled token also
+/// ends the check undecided. \p mono_conflict_cap is a test hook; callers
+/// keep the default.
+SweepResult check_miter(const aig::Aig& g, aig::Lit root, int64_t conflict_budget = -1,
+                        const eco::Deadline& deadline = {},
+                        std::span<const std::vector<bool>> seed_patterns = {},
+                        const eco::CancelToken& cancel = {},
+                        util::Executor* executor = nullptr,
+                        int64_t mono_conflict_cap = kMonoConflictCap);
 
 }  // namespace eco::cec

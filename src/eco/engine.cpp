@@ -125,15 +125,15 @@ aig::Aig build_patch_module(const aig::Aig& work, const std::vector<aig::Lit>& d
 /// Cap on bank counterexamples carried into the final verification.
 constexpr size_t kMaxCecSeeds = 256;
 
-/// Verifies the patched implementation against the spec over the shared PIs.
-/// \p cec_seeds are bank counterexample prefixes used as directed stimuli.
+/// Verifies the patched implementation against the spec over the shared PIs
+/// (cec::check_miter picks the engine). \p cec_seeds are bank counterexample
+/// prefixes used as directed stimuli; \p sweep_stats accumulates the sweep
+/// counters of an escalated check.
 cec::Status verify_patched(const EcoProblem& problem, const aig::Aig& patched,
-                           int64_t conflict_budget, const Deadline& deadline,
+                           const Deadline& deadline,
                            std::span<const std::vector<bool>> cec_seeds,
-                           const CancelToken& cancel,
-                           cec::CecMode cec_mode = cec::CecMode::kMono,
-                           util::Executor* executor = nullptr,
-                           cec::SweepStats* sweep_stats = nullptr) {
+                           const CancelToken& cancel, util::Executor* executor,
+                           cec::SweepStats& sweep_stats) {
   aig::Aig check;
   std::vector<aig::Lit> x;
   for (uint32_t i = 0; i < problem.num_shared_pis(); ++i)
@@ -162,14 +162,10 @@ cec::Status verify_patched(const EcoProblem& problem, const aig::Aig& patched,
   for (size_t i = 0; i < impl_pos.size(); ++i)
     diffs.push_back(check.add_xor(impl_pos[i], spec_pos[i]));
   const aig::Lit out = check.add_or_multi(diffs);
-  if (cec_mode == cec::CecMode::kSweep &&
-      check.num_ands() >= cec::CecOptions::defaults().min_nodes) {
-    cec::SweepResult sr = cec::sweep_check(check, out, conflict_budget, deadline, cec_seeds,
-                                           cancel, executor);
-    if (sweep_stats != nullptr) sweep_stats->accumulate(sr.stats);
-    return sr.cec.status;
-  }
-  return cec::check_const0(check, out, conflict_budget, deadline, cec_seeds, cancel).status;
+  const cec::SweepResult r =
+      cec::check_miter(check, out, /*conflict_budget=*/-1, deadline, cec_seeds, cancel, executor);
+  sweep_stats.accumulate(r.stats);
+  return r.cec.status;
 }
 
 std::string cover_to_named_sop(const sop::Cover& cover, const std::vector<size_t>& support,
@@ -232,12 +228,6 @@ bool run_sat_path(const EcoProblem& problem, const Window& window,
   const uint32_t k = problem.num_targets();
   std::vector<aig::Lit> patch_lits;
 
-  // Sweeping-proven duplicate divisors collapse onto their cheapest
-  // representative: same expressible patch functions, fewer activation
-  // variables per two-copy instance.
-  const std::vector<size_t> candidates =
-      dedupe_equivalent_divisors(window.divisor_indices, window.divisor_alias);
-
   for (uint32_t t = 0; t < k; ++t) {
     if (cancel.cancelled()) return false;
     ECO_TELEMETRY_PHASE("target");
@@ -264,7 +254,7 @@ bool run_sat_path(const EcoProblem& problem, const Window& window,
     // token so a memory budget can stop the run before the allocator does.
     cancel.charge_memory(static_cast<uint64_t>(mq.aig.num_nodes()) * 16);
 
-    SupportInstance inst(mq, t, problem.divisors, candidates);
+    SupportInstance inst(mq, t, problem.divisors, window.divisor_indices);
     inst.solver().set_cancel(cancel);
 
     // Per-target simulation bank over the quantified miter: refutes support
@@ -499,7 +489,6 @@ bool run_structural_path(const EcoProblem& problem, const Window& window,
                                  : std::min<int64_t>(options.conflict_budget, 50000);
       ropt.cancel = cancel.grace(grace_seconds);
       ropt.sim = rfilter.has_value() ? &*rfilter : nullptr;
-      ropt.divisor_alias = window.divisor_alias;
       const ResubResult resub =
           functional_resub(work, pi_lit, problem.divisors, window.divisor_indices, ropt);
       if (resub.ok && resub.cost < best_cost) {
@@ -544,9 +533,8 @@ EcoOutcome run_eco_attempt(const EcoProblem& problem, const EngineOptions& optio
   // solver work of concurrently executing runs.
   telemetry::SolverTotalsAccumulator sat_acc;
   telemetry::ScopedSolverCapture sat_capture(sat_acc);
-  // SAT-sweeping counters (cec_mode == kSweep only; zero otherwise),
-  // accumulated across window escalation, divisor discovery and the final
-  // verification, then copied into the outcome by finish().
+  // SAT-sweeping counters of an escalated final verification (zero
+  // otherwise), copied into the outcome by finish().
   cec::SweepStats sweep_stats;
   const auto finish = [&](EcoOutcome& out) {
     out.seconds = timer.seconds();
@@ -558,15 +546,7 @@ EcoOutcome run_eco_attempt(const EcoProblem& problem, const EngineOptions& optio
   Window window;
   {
     ECO_TELEMETRY_PHASE("window");
-    window = compute_window(problem, options.conflict_budget, options.cec_mode,
-                            options.executor, &sweep_stats);
-  }
-  if (!window.divisor_alias.empty()) {
-    const size_t kept =
-        dedupe_equivalent_divisors(window.divisor_indices, window.divisor_alias).size();
-    outcome.stats.sweep_equiv_divisors = window.divisor_indices.size() - kept;
-    ECO_TELEMETRY_COUNT("engine.sweep_equiv_divisors",
-                        outcome.stats.sweep_equiv_divisors);
+    window = compute_window(problem, options.conflict_budget);
   }
   outcome.stats.window_seconds = phase_timer.seconds();
   log_info("engine: window computed in %.2fs (%zu affected POs, %zu divisors)",
@@ -712,10 +692,9 @@ EcoOutcome run_eco_attempt(const EcoProblem& problem, const EngineOptions& optio
     }
     // Verification runs under a grace token: its own window, detached from
     // the (often already expired) main deadline, but still abortable.
-    const cec::Status s = verify_patched(problem, outcome.patched_impl,
-                                         /*conflict_budget=*/-1, Deadline(verify_budget),
-                                         cec_seeds, cancel.grace(verify_budget),
-                                         options.cec_mode, options.executor, &sweep_stats);
+    const cec::Status s =
+        verify_patched(problem, outcome.patched_impl, Deadline(verify_budget), cec_seeds,
+                       cancel.grace(verify_budget), options.executor, sweep_stats);
     verify_seconds = verify_timer.seconds();
     return s;
   };
@@ -1018,7 +997,6 @@ void write_json(JsonWriter& w, const EngineStats& s) {
   w.key("sweep");
   w.begin_object();
   write_json(w, c.sweep);
-  w.kv("equiv_divisors", s.sweep_equiv_divisors);
   w.end_object();
   w.key("sim");
   w.begin_object();

@@ -102,13 +102,6 @@ struct EngineOptions {
   /// EngineStats::ladder. Off = single attempt, bit-identical to the
   /// pre-ladder engine.
   bool ladder = true;
-  /// CEC engine for the window's outside-PO screen and the final
-  /// verification (cec/sweep.hpp). kSweep additionally runs divisor
-  /// discovery: proven-equivalent divisors collapse to their cheapest
-  /// representative before the support/resub stages. Defaults come from
-  /// `CecOptions::defaults()` (env `ECO_CEC`), i.e. kMono — outcomes are
-  /// bit-identical unless sweeping is requested.
-  cec::CecMode cec_mode = cec::CecOptions::defaults().mode;
   /// Warm-start stimuli (the patch service, src/service/): shared-PI
   /// pattern prefixes harvested from earlier runs on the same problem
   /// (EcoOutcome::harvested_patterns). They join the run's own sim-bank
@@ -170,12 +163,11 @@ struct EngineStats {
   ECO_SIM_STATS(ECO_X)
 #undef ECO_X
 
-  // SAT sweeping (cec/sweep.hpp), summed over the run's window divisor
-  // discovery and sweeping verification; all zero with cec_mode == kMono.
+  // SAT sweeping (cec/sweep.hpp) in the final verification; all zero unless
+  // its monolithic query ran past cec::kMonoConflictCap and escalated.
 #define ECO_X(name) uint64_t sweep_##name = 0;
   ECO_SWEEP_STATS(ECO_X)
 #undef ECO_X
-  uint64_t sweep_equiv_divisors = 0;  ///< divisors collapsed onto a cheaper twin
 
   /// Strategy-ladder log: one entry per attempt ("primary" first, then any
   /// escalation rungs). A single entry means no escalation happened.

@@ -4,7 +4,6 @@
 
 #include "cnf/tseitin.hpp"
 #include "eco/simfilter.hpp"
-#include "eco/support.hpp"
 #include "sat/minimize.hpp"
 #include "sat/solver.hpp"
 #include "util/ledger.hpp"
@@ -39,16 +38,6 @@ ResubResult functional_resub(const aig::Aig& impl, aig::Lit func,
                              const ResubOptions& options) {
   ledger::ScopedPurpose ledger_scope(ledger::Purpose::kResub);
   ResubResult result;
-
-  // Collapse sweeping-proven duplicate divisors onto their representative.
-  // Sound because an equivalent-up-to-complement divisor carries the same
-  // information: agreement on the representative implies agreement on every
-  // member, so the dependency verdict over the deduped set is unchanged.
-  std::vector<size_t> deduped;
-  if (!options.divisor_alias.empty()) {
-    deduped = dedupe_equivalent_divisors(candidates, options.divisor_alias);
-    candidates = deduped;
-  }
 
   // A bank pattern pair agreeing on every candidate but differing on `func`
   // refutes the dependency exactly — same !ok return, no solver built. (The

@@ -33,11 +33,6 @@ struct ResubOptions {
   /// the dependency check without SAT when its bank already witnesses the
   /// dependency's failure, and harvests dependency/on-set models.
   ResubFilter* sim = nullptr;
-  /// Optional SAT-sweeping divisor aliasing (Window::divisor_alias). When
-  /// non-empty, candidates whose proven-equivalent representative is also a
-  /// candidate are dropped before the dependency check — same expressible
-  /// functions, smaller two-copy instance.
-  std::span<const size_t> divisor_alias{};
 };
 
 struct ResubResult {

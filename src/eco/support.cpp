@@ -210,25 +210,4 @@ SupportResult compute_support(SupportInstance& inst, const std::vector<Divisor>&
   return result;
 }
 
-std::vector<size_t> dedupe_equivalent_divisors(std::span<const size_t> candidates,
-                                               std::span<const size_t> alias) {
-  std::vector<size_t> kept;
-  kept.reserve(candidates.size());
-  if (alias.empty()) {
-    kept.assign(candidates.begin(), candidates.end());
-    return kept;
-  }
-  std::vector<uint8_t> is_candidate(alias.size(), 0);
-  for (const size_t i : candidates)
-    if (i < alias.size()) is_candidate[i] = 1;
-  for (const size_t i : candidates) {
-    // Keep i unless its representative is a distinct candidate. A class
-    // representative always has alias[rep] == rep, so it is never dropped.
-    const bool duplicate =
-        i < alias.size() && alias[i] != i && alias[i] < alias.size() && is_candidate[alias[i]];
-    if (!duplicate) kept.push_back(i);
-  }
-  return kept;
-}
-
 }  // namespace eco::core

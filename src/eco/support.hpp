@@ -113,14 +113,4 @@ class SupportInstance {
 SupportResult compute_support(SupportInstance& inst, const std::vector<Divisor>& divisors,
                               const SupportOptions& options);
 
-/// Drops every candidate whose SAT-sweeping alias (Window::divisor_alias —
-/// the cheapest divisor proven equivalent up to complement) is itself among
-/// the candidates: the representative expresses the same functions at no
-/// higher cost, so the duplicate only inflates the two-copy instance. A
-/// candidate whose representative is *not* a candidate (e.g. filtered out
-/// by the window-PI containment) is kept. Returns \p candidates unchanged
-/// when \p alias is empty (mono mode). Order is preserved.
-std::vector<size_t> dedupe_equivalent_divisors(std::span<const size_t> candidates,
-                                               std::span<const size_t> alias);
-
 }  // namespace eco::core

@@ -1,62 +1,16 @@
 #include "eco/window.hpp"
 
-#include <algorithm>
-#include <functional>
-#include <span>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "aig/ops.hpp"
 #include "aig/window.hpp"
 #include "cec/cec.hpp"
-#include "cnf/tseitin.hpp"
-#include "sat/solver.hpp"
 #include "util/faultpoint.hpp"
 #include "util/log.hpp"
 
 namespace eco::core {
 
-namespace {
-
-/// Collapses proven-equivalent divisors (up to complement) onto their
-/// cheapest member. Builds a node-level union-find from the sweep's proven
-/// pairs, groups divisors by equivalence class, and returns one alias entry
-/// per divisor (identity when a divisor has no proven twin).
-std::vector<size_t> alias_from_equivalences(const EcoProblem& problem,
-                                            std::span<const cec::EquivPair> proven) {
-  std::unordered_map<aig::Node, aig::Node> parent;
-  std::function<aig::Node(aig::Node)> find = [&](aig::Node n) -> aig::Node {
-    auto it = parent.find(n);
-    if (it == parent.end() || it->second == n) return n;
-    const aig::Node root = find(it->second);
-    it->second = root;
-    return root;
-  };
-  for (const cec::EquivPair& pair : proven) {
-    const aig::Node ra = find(aig::lit_node(pair.a));
-    const aig::Node rb = find(aig::lit_node(pair.b));
-    if (ra != rb) parent[std::max(ra, rb)] = std::min(ra, rb);
-  }
-  std::vector<size_t> alias(problem.divisors.size());
-  std::unordered_map<aig::Node, size_t> representative;
-  // First pass: cheapest divisor per class (ties break to the lower index
-  // because the scan is in index order and comparisons are strict).
-  for (size_t i = 0; i < problem.divisors.size(); ++i) {
-    const aig::Node root = find(aig::lit_node(problem.divisors[i].lit));
-    const auto [it, fresh] = representative.emplace(root, i);
-    if (!fresh && problem.divisors[i].cost < problem.divisors[it->second].cost)
-      it->second = i;
-  }
-  for (size_t i = 0; i < problem.divisors.size(); ++i)
-    alias[i] = representative.at(find(aig::lit_node(problem.divisors[i].lit)));
-  return alias;
-}
-
-}  // namespace
-
-Window compute_window(const EcoProblem& problem, int64_t conflict_budget,
-                      cec::CecMode cec_mode, util::Executor* executor,
-                      cec::SweepStats* sweep_stats) {
+Window compute_window(const EcoProblem& problem, int64_t conflict_budget) {
   // Fault site: window extraction blows up (e.g. a pathological TFI/TFO
   // traversal) before any window exists.
   if (ECO_FAULT_POINT(fault::Site::kWindowExtract))
@@ -100,20 +54,6 @@ Window compute_window(const EcoProblem& problem, int64_t conflict_budget,
       if (inside[aig::lit_node(problem.divisors[i].lit)]) w.divisor_indices.push_back(i);
   }
 
-  // 3b. Sweep-mode divisor discovery (ROADMAP item 2 payoff): proven-
-  //     equivalent divisors are zero-cost structural duplicates; collapsing
-  //     them onto their cheapest representative shrinks every downstream
-  //     support/resub query without losing any expressible patch function.
-  if (cec_mode == cec::CecMode::kSweep && w.divisor_indices.size() >= 2) {
-    std::vector<aig::Lit> roots;
-    roots.reserve(w.divisor_indices.size());
-    for (const size_t i : w.divisor_indices) roots.push_back(problem.divisors[i].lit);
-    const cec::SweepResult discovered = cec::sweep_discover(impl, roots, {}, {}, executor);
-    if (sweep_stats != nullptr) sweep_stats->accumulate(discovered.stats);
-    if (!discovered.proven.empty())
-      w.divisor_alias = alias_from_equivalences(problem, discovered.proven);
-  }
-
   // 4. POs outside the window must already match.
   std::vector<uint32_t> outside;
   {
@@ -138,17 +78,7 @@ Window compute_window(const EcoProblem& problem, int64_t conflict_budget,
       const aig::Lit a = aig::transfer(impl, check, impl_roots, impl_map)[0];
       const aig::Lit b = aig::transfer(spec, check, spec_roots, spec_map)[0];
       const aig::Lit diff = check.add_xor(a, b);
-      cec::CecResult result;
-      const aig::Lit cone_roots[] = {diff};
-      if (cec_mode == cec::CecMode::kSweep &&
-          check.cone_size(cone_roots) >= cec::CecOptions::defaults().min_nodes) {
-        cec::SweepResult sr =
-            cec::sweep_check(check, diff, conflict_budget, {}, {}, {}, executor);
-        if (sweep_stats != nullptr) sweep_stats->accumulate(sr.stats);
-        result = std::move(sr.cec);
-      } else {
-        result = cec::check_const0(check, diff, conflict_budget);
-      }
+      const cec::CecResult result = cec::check_const0(check, diff, conflict_budget);
       if (result.status == cec::Status::kNotEquivalent) {
         w.outside_equal = false;
         w.mismatch_po = po;

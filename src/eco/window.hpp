@@ -6,12 +6,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "cec/sweep.hpp"
 #include "eco/problem.hpp"
-
-namespace eco::util {
-class Executor;
-}
 
 namespace eco::core {
 
@@ -23,14 +18,6 @@ struct Window {
   /// Indices into EcoProblem::divisors that qualify (outside target TFO by
   /// construction; support contained in the window PIs).
   std::vector<size_t> divisor_indices;
-  /// Divisor-equivalence aliasing from SAT-sweeping discovery (cec_mode ==
-  /// kSweep only; empty otherwise). When non-empty it has one entry per
-  /// EcoProblem divisor: `divisor_alias[i]` is the index of the cheapest
-  /// divisor proven equivalent (up to complement) to divisor i, or i itself
-  /// when it has no proven twin. Candidate lists collapse equivalent
-  /// divisors onto their representative — same expressible patch functions,
-  /// fewer SAT variables, never a costlier support.
-  std::vector<size_t> divisor_alias;
   /// True when every PO outside the window is already equivalent between
   /// implementation and specification. When false the ECO is infeasible at
   /// the given targets and \ref mismatch_po names a failing output.
@@ -41,12 +28,6 @@ struct Window {
 /// Computes the window. \p conflict_budget bounds the SAT effort of the
 /// outside-PO equivalence check (< 0 = unlimited; on timeout the pair is
 /// conservatively treated as equal and final verification catches lies).
-/// With \p cec_mode == kSweep, large outside-PO checks escalate to the
-/// sweeping engine and divisor discovery fills Window::divisor_alias;
-/// \p sweep_stats (optional) accumulates the sweep counters.
-Window compute_window(const EcoProblem& problem, int64_t conflict_budget = -1,
-                      cec::CecMode cec_mode = cec::CecMode::kMono,
-                      util::Executor* executor = nullptr,
-                      cec::SweepStats* sweep_stats = nullptr);
+Window compute_window(const EcoProblem& problem, int64_t conflict_budget = -1);
 
 }  // namespace eco::core

@@ -23,9 +23,6 @@
 //         --par-sat off|on                    intra-query parallel SAT
 //                                             (default: ECO_PAR_SAT, else off;
 //                                             docs/PARALLEL_SAT.md)
-//         --cec mono|sweep                    large-cone equivalence engine
-//                                             (default: ECO_CEC, else mono;
-//                                             docs/SWEEPING.md)
 //   ecopatch gen <unit 1..20> <outdir> [--seed N] [--scale N]
 //
 // Global options (any command): -v/--verbose raises the log level to info,
@@ -55,7 +52,6 @@
 #include "aig/window.hpp"
 #include "benchgen/suite.hpp"
 #include "cec/cec.hpp"
-#include "cec/sweep.hpp"
 #include "eco/engine.hpp"
 #include "net/aignet.hpp"
 #include "net/blif.hpp"
@@ -84,10 +80,10 @@ int usage() {
                "                 [--patch FILE] [--patched FILE] [--force-structural]\n"
                "                 [--stats-json FILE] [--trace FILE] [--ledger FILE]\n"
                "                 [--jobs N] [--sim-bank 0|1] [--ladder 0|1]\n"
-               "                 [--par-sat off|on] [--cec mono|sweep]\n"
+               "                 [--par-sat off|on]\n"
                "  ecopatch gen <unit 1..20> <outdir> [--seed N] [--scale N]\n"
                "  ecopatch stats <circuit.{v,blif,aag,aig}>\n"
-               "  ecopatch cec <a> <b> [--jobs N] [--cec mono|sweep]\n"
+               "  ecopatch cec <a> <b> [--jobs N]\n"
                "  ecopatch convert <in> <out>\n"
                "global options: -v/--verbose (info), -vv (debug),\n"
                "                --fault SITE[:PROB[:SEED]],... (inject faults)\n"
@@ -171,8 +167,6 @@ int cmd_solve(int argc, char** argv) {
       options.ladder = v == "1";
     } else if (arg == "--par-sat" && i + 1 < argc) {
       if (!eco::sat::parse_par_mode(argv[++i], par_opts.mode)) return usage();
-    } else if (arg == "--cec" && i + 1 < argc) {
-      if (!eco::cec::parse_cec_mode(argv[++i], options.cec_mode)) return usage();
     } else if (arg == "--stats-json" && i + 1 < argc) {
       stats_json_path = argv[++i];
     } else if (arg == "--trace" && i + 1 < argc) {
@@ -352,19 +346,14 @@ int cmd_stats(int argc, char** argv) {
 int cmd_cec(int argc, char** argv) {
   if (argc < 4) return usage();
   int jobs = eco::util::default_jobs();
-  eco::cec::CecOptions cec_opts = eco::cec::CecOptions::defaults();
   for (int i = 4; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
       jobs = parse_jobs(argv[++i]);
       if (jobs < 0) return usage();
-    } else if (!std::strcmp(argv[i], "--cec") && i + 1 < argc) {
-      if (!eco::cec::parse_cec_mode(argv[++i], cec_opts.mode)) return usage();
     } else {
       return usage();
     }
   }
-  // check_equivalence reads the process defaults for its sweep escalation.
-  eco::cec::CecOptions::set_defaults(cec_opts);
   const eco::aig::Aig a = load_circuit(argv[2]);
   const eco::aig::Aig b = load_circuit(argv[3]);
   eco::util::Executor executor(jobs);
