@@ -119,12 +119,18 @@ CecResult check_const0(const aig::Aig& g, aig::Lit root, int64_t conflict_budget
   const bool ledger_on = ledger::enabled();
   const Timer check_wall;
   const double check_cpu0 = ledger_on ? ledger::thread_cpu_seconds() : 0;
+  // Search work of the check's solve, i.e. the counters of the `solve`
+  // record it appends; zero when a constant root or a seed decides.
+  sat::SolverStats work;
   auto append_check = [&](const CecResult& res, bool sim_hit) {
     if (!ledger_on) return;
     ledger::Record r;
     r.kind = ledger::Kind::kCecCheck;
     r.wall_seconds = check_wall.seconds();
     r.cpu_seconds = ledger::thread_cpu_seconds() - check_cpu0;
+    r.conflicts = work.conflicts;
+    r.decisions = work.decisions;
+    r.propagations = work.propagations;
     r.vars = g.num_pis();
     r.sim_hit = sim_hit ? 1 : 0;
     r.result = res.status == Status::kEquivalent      ? ledger::QueryResult::kUnsat
@@ -157,7 +163,11 @@ CecResult check_const0(const aig::Aig& g, aig::Lit root, int64_t conflict_budget
   const sat::Lit out = enc.lit(root);
   solver.add_unit(out);
   if (conflict_budget >= 0) solver.set_conflict_budget(conflict_budget);
+  const sat::SolverStats before = solver.stats();
   const sat::LBool verdict = solver.solve();
+  work.conflicts = solver.stats().conflicts - before.conflicts;
+  work.decisions = solver.stats().decisions - before.decisions;
+  work.propagations = solver.stats().propagations - before.propagations;
   if (verdict.is_false()) {
     result.status = Status::kEquivalent;
   } else if (verdict.is_true()) {

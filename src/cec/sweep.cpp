@@ -56,9 +56,19 @@ struct ClassTask {
   bool near_const = false;
 };
 
+/// Adds the search work \p s did since \p before (the counters its `solve`
+/// ledger records carry) to \p acc.
+void add_search_work(sat::SolverStats& acc, const sat::SolverStats& s,
+                     const sat::SolverStats& before) {
+  acc.conflicts += s.conflicts - before.conflicts;
+  acc.decisions += s.decisions - before.decisions;
+  acc.propagations += s.propagations - before.propagations;
+}
+
 struct TaskResult {
   std::vector<PairOutcome> outcomes;  ///< one per member beyond the first
   uint64_t phase_seeded = 0;
+  sat::SolverStats work;  ///< the chunk's search work (on its first class)
 };
 
 class Sweeper {
@@ -152,6 +162,8 @@ class Sweeper {
 
   const aig::Aig& reduced() const noexcept { return reduced_; }
   const SweepStats& stats() const noexcept { return stats_; }
+  /// Search work of every class-proving solve so far.
+  const sat::SolverStats& work() const noexcept { return work_; }
   std::vector<EquivPair> take_proven() { return std::move(proven_); }
   aig::SimBank& bank() noexcept { return bank_; }
 
@@ -475,6 +487,8 @@ class Sweeper {
       }
     }
     phase_seeded += seed_phases(solver, enc, seeded);
+    // Every clause is loaded, so the stats from here on are the solves' own.
+    const sat::SolverStats loaded = solver.stats();
 
     // Query sequence: each pair assumes every selector so far plus its own
     // miter selector t. Afterwards the pair is retired by appending its
@@ -546,7 +560,10 @@ class Sweeper {
         }
       }
     }
-    if (lo < results.size()) results[lo].phase_seeded = phase_seeded;
+    if (lo < results.size()) {
+      results[lo].phase_seeded = phase_seeded;
+      add_search_work(results[lo].work, solver.stats(), loaded);
+    }
     if (ledger_on) {
       ledger::Record r;
       r.kind = ledger::Kind::kSweepChunk;
@@ -584,6 +601,7 @@ class Sweeper {
       const ClassTask& task = tasks[ci];
       TaskResult& result = results[ci];
       stats_.phase_seeded += result.phase_seeded;
+      add_search_work(work_, result.work, sat::SolverStats{});
       for (size_t j = 1; j < task.members.size(); ++j) {
         const PairOutcome& out = result.outcomes[j - 1];
         const uint32_t pair_id = off[ci] + static_cast<uint32_t>(j - 1);
@@ -654,6 +672,7 @@ class Sweeper {
   /// to absorb its counterexample pattern.
   std::unordered_set<uint64_t> refuted_;
   SweepStats stats_;
+  sat::SolverStats work_;
 };
 
 void publish_telemetry(const SweepStats& stats) {
@@ -680,6 +699,9 @@ SweepResult sweep_check(const aig::Aig& g, aig::Lit root, int64_t conflict_budge
   const bool ledger_on = ledger::enabled();
   const Timer check_wall;
   const double check_cpu0 = ledger_on ? ledger::thread_cpu_seconds() : 0;
+  // Search work of the check's solves (class proofs and the final root
+  // query), i.e. the sum of the `solve` records they append.
+  sat::SolverStats work;
   auto append_check = [&](const SweepResult& res, bool sim_hit) {
     publish_telemetry(res.stats);
     if (!ledger_on) return;
@@ -687,6 +709,9 @@ SweepResult sweep_check(const aig::Aig& g, aig::Lit root, int64_t conflict_budge
     r.kind = ledger::Kind::kCecCheck;
     r.wall_seconds = check_wall.seconds();
     r.cpu_seconds = ledger::thread_cpu_seconds() - check_cpu0;
+    r.conflicts = work.conflicts;
+    r.decisions = work.decisions;
+    r.propagations = work.propagations;
     r.vars = g.num_pis();
     r.sim_hit = sim_hit ? 1 : 0;
     r.result = res.cec.status == Status::kEquivalent      ? ledger::QueryResult::kUnsat
@@ -724,6 +749,7 @@ SweepResult sweep_check(const aig::Aig& g, aig::Lit root, int64_t conflict_budge
 
   sweeper.run();
   result.proven = sweeper.take_proven();
+  work = sweeper.work();
 
   // Counterexamples harvested during the sweep may already excite the root.
   if (sweeper.bank_hit(root, witness)) {
@@ -763,7 +789,9 @@ SweepResult sweep_check(const aig::Aig& g, aig::Lit root, int64_t conflict_budge
   stats.phase_seeded += sweeper.seed_phases(solver, enc, seeded);
   solver.add_unit(out);
   if (conflict_budget >= 0) solver.set_conflict_budget(conflict_budget);
+  const sat::SolverStats before = solver.stats();
   const sat::LBool verdict = solver.solve();
+  add_search_work(work, solver.stats(), before);
   if (verdict.is_false()) {
     result.cec.status = Status::kEquivalent;
   } else if (verdict.is_true()) {

@@ -259,10 +259,14 @@ bool run_sat_path(const EcoProblem& problem, const Window& window,
 
     // Per-target simulation bank over the quantified miter: refutes support
     // checks, skips irredundancy queries, and collects every SAT model this
-    // target produces. Accumulated into the run's stats on every exit.
+    // target produces. A warm session's patterns seed it first (they are
+    // bank patterns, so the harvest below still lists this run's own
+    // counterexamples before them). Accumulated into the run's stats on
+    // every exit.
     std::optional<SimFilter> simf;
     if (options.simfilter.enabled) {
       simf.emplace(mq, t, options.simfilter);
+      if (options.warm_patterns != nullptr) simf->seed_prefixes(*options.warm_patterns);
       inst.attach_sim_filter(&*simf);
     }
     const auto accumulate_sim = [&]() {
@@ -281,8 +285,8 @@ bool run_sat_path(const EcoProblem& problem, const Window& window,
     sopt.conflict_budget = options.conflict_budget;
     // Not when sat_prune follows: it reads models off the same solver, and
     // sim-skipped solves would change the learnt state those models come
-    // from (see SupportOptions::sim_refute_last_gasp).
-    sopt.sim_refute_last_gasp = options.algorithm != Algorithm::kSatPruneCegarMin;
+    // from (see SupportOptions::sim_screen).
+    sopt.sim_screen = options.algorithm != Algorithm::kSatPruneCegarMin;
     Timer support_timer;
     SupportResult support = compute_support(inst, problem.divisors, sopt);
     const double support_seconds = support_timer.seconds();
@@ -565,36 +569,38 @@ EcoOutcome run_eco_attempt(const EcoProblem& problem, const EngineOptions& optio
     return outcome;
   }
 
-  // 2. Target-sufficiency check via 2QBF CEGAR (paper §3.2).
-  const EcoMiter feas_miter = build_eco_miter(problem.impl, problem.spec,
-                                              std::span<const aig::Lit>{}, window.affected_pos);
-  // The QBF check gets a bounded slice of the effort: if it cannot decide
-  // quickly, the SAT path both solves the problem and detects infeasibility
-  // itself (an insufficient full divisor set is exactly step infeasibility).
+  // 2. Target-sufficiency check via 2QBF CEGAR (paper §3.2). A verified
+  // patch from the SAT path proves sufficiency by itself, so the check runs
+  // only when that path returns no patch (to tell infeasibility apart and to
+  // hand the structural path its certificate), or up front when the
+  // structural path is forced. It gets a bounded slice of the effort: if it
+  // cannot decide quickly, the SAT path's own verdict stands (an
+  // insufficient full divisor set is exactly step infeasibility).
   qbf::Qbf2Options qopt = options.qbf;
   if (qopt.conflict_budget < 0)
     qopt.conflict_budget =
         options.conflict_budget < 0 ? 20000 : std::min<int64_t>(options.conflict_budget, 20000);
   if (qopt.time_budget <= 0)
     qopt.time_budget = options.time_budget > 0 ? options.time_budget * 0.25 : 30.0;
-  qopt.cancel = cancel;
   qbf::Qbf2Result qbf_result;
-  {
+  const auto check_sufficiency = [&](const CancelToken& token) {
     ECO_TELEMETRY_PHASE("qbf_feasibility");
+    Timer qbf_timer;
+    const EcoMiter feas_miter = build_eco_miter(
+        problem.impl, problem.spec, std::span<const aig::Lit>{}, window.affected_pos);
+    qopt.cancel = token;
     qbf_result = qbf::solve_exists_forall(feas_miter.aig, feas_miter.out, feas_miter.num_x, qopt);
-  }
-  outcome.stats.qbf_seconds = phase_timer.seconds();
-  outcome.stats.qbf_iterations = qbf_result.iterations;
-  log_info("engine: qbf feasibility finished in %.2fs (status %d, %d iterations)",
-           outcome.stats.qbf_seconds, static_cast<int>(qbf_result.status),
-           qbf_result.iterations);
-  phase_timer.reset();
-  if (qbf_result.status == qbf::Qbf2Status::kTrue) {
+    outcome.stats.qbf_seconds = qbf_timer.seconds();
+    outcome.stats.qbf_iterations = qbf_result.iterations;
+    log_info("engine: qbf feasibility finished in %.2fs (status %d, %d iterations)",
+             outcome.stats.qbf_seconds, static_cast<int>(qbf_result.status),
+             qbf_result.iterations);
+    if (qbf_result.status != qbf::Qbf2Status::kTrue) return false;
     outcome.status = EcoOutcome::Status::kInfeasible;
     outcome.method = "qbf";
     finish(outcome);
-    return outcome;
-  }
+    return true;
+  };
 
   // 3. SAT-based per-target loop, falling back to the structural path.
   std::vector<BuiltPatch> built;
@@ -605,13 +611,21 @@ EcoOutcome run_eco_attempt(const EcoProblem& problem, const EngineOptions& optio
   bool proven_infeasible = false;
   std::vector<std::vector<bool>> cec_seeds;
   outcome.method = "sat";
-  if (!options.force_structural) {
-    ECO_TELEMETRY_PHASE("sat_path");
-    ok = run_sat_path(problem, window, options, cancel, built, work, div_lits,
-                      proven_infeasible, outcome.stats, cec_seeds);
-    outcome.stats.sat_path_seconds = phase_timer.seconds();
-    log_info("engine: sat path %s in %.2fs", ok ? "succeeded" : "failed",
-             outcome.stats.sat_path_seconds);
+  if (options.force_structural) {
+    if (check_sufficiency(cancel)) return outcome;
+    phase_timer.reset();
+  } else {
+    {
+      ECO_TELEMETRY_PHASE("sat_path");
+      ok = run_sat_path(problem, window, options, cancel, built, work, div_lits,
+                        proven_infeasible, outcome.stats, cec_seeds);
+      outcome.stats.sat_path_seconds = phase_timer.seconds();
+      log_info("engine: sat path %s in %.2fs", ok ? "succeeded" : "failed",
+               outcome.stats.sat_path_seconds);
+    }
+    // The SAT path may have used up the run's budget: the late check gets
+    // its slice as a grace window, as the structural path's CEGAR_min does.
+    if (!ok && check_sufficiency(cancel.grace(qopt.time_budget))) return outcome;
     phase_timer.reset();
   }
   if (proven_infeasible) {

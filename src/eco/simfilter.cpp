@@ -118,6 +118,21 @@ void SimFilterOptions::set_defaults(const SimFilterOptions& opts) noexcept {
 SimFilter::SimFilter(const EcoMiter& m, uint32_t target, const SimFilterOptions& options)
     : m_(&m), target_(target), bank_(m.aig, bank_options(options)) {}
 
+void SimFilter::seed_prefixes(std::span<const std::vector<bool>> prefixes) {
+  assert(recorded_off_.empty() && "seed_prefixes() after a counterexample");
+  const uint32_t target_pi = m_->target_pi(target_);
+  std::vector<bool> pattern(m_->aig.num_pis(), false);
+  for (const auto& prefix : prefixes) {
+    std::fill(pattern.begin(), pattern.end(), false);
+    std::copy_n(prefix.begin(), std::min<size_t>(prefix.size(), m_->num_x), pattern.begin());
+    for (const bool value : {false, true}) {
+      pattern[target_pi] = value;
+      if (!bank_.add_pattern(pattern)) return;
+      ++num_seeded_;
+    }
+  }
+}
+
 void SimFilter::add_counterexample(const std::vector<bool>& pi_values, bool off_set) {
   if (!bank_.add_pattern(pi_values)) {
     ++dropped_full_;
@@ -133,7 +148,7 @@ uint32_t SimFilter::num_counterexamples() const noexcept {
 }
 
 std::vector<bool> SimFilter::counterexample_pattern(uint32_t i) {
-  return bank_.pattern(bank_.num_seed_patterns() + i);
+  return bank_.pattern(bank_.num_seed_patterns() + num_seeded_ + i);
 }
 
 void SimFilter::classify(std::vector<uint64_t>& on, std::vector<uint64_t>& off) {

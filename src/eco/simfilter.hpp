@@ -96,6 +96,14 @@ class SimFilter {
 
   // -- Bank growth ---------------------------------------------------------
 
+  /// Seeds the bank with shared-input patterns known from elsewhere (a warm
+  /// session's counterexample prefixes): each prefix becomes two patterns,
+  /// with this target's PI at 0 and at 1, and every other PI past the
+  /// prefix at 0. They are bank patterns like the random seeds, not
+  /// counterexamples of this run, so counterexample_prefixes() skips them.
+  /// Must precede the first add_counterexample(); stops when the bank fills.
+  void seed_prefixes(std::span<const std::vector<bool>> prefixes);
+
   /// Records a SAT counterexample: a full miter-PI assignment. \p off_set
   /// is the class claimed by the SAT model (false = on-set copy M(0,x),
   /// true = off-set copy M(1,x)); the filter itself classifies by
@@ -128,8 +136,8 @@ class SimFilter {
   // -- CEC seeding ---------------------------------------------------------
 
   /// The first \p prefix_pis values of up to \p max recorded
-  /// counterexamples (skipping the random seed prefix), for seeding the
-  /// final verification's simulation screen.
+  /// counterexamples (skipping the random and seed_prefixes() patterns),
+  /// for seeding the final verification's simulation screen.
   std::vector<std::vector<bool>> counterexample_prefixes(uint32_t prefix_pis,
                                                          size_t max);
 
@@ -152,6 +160,7 @@ class SimFilter {
   const EcoMiter* m_;
   uint32_t target_;
   aig::SimBank bank_;
+  uint32_t num_seeded_ = 0;            ///< seed_prefixes() patterns
   std::vector<uint8_t> recorded_off_;  ///< per counterexample, insertion order
   uint64_t dropped_full_ = 0;          ///< counterexamples not recorded (bank full)
   SimFilterStats stats_;

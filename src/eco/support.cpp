@@ -73,6 +73,20 @@ sat::Lit SupportInstance::activation(size_t global_index) const {
   return activation_[static_cast<size_t>(i)];
 }
 
+bool SupportInstance::sim_refutes(std::span<const sat::Lit> activations) {
+  if (sim_ == nullptr) return false;
+  // Activation variables were created in candidate order, so activation_ is
+  // sorted by variable and a binary search maps a literal to its candidate.
+  std::vector<size_t> subset;
+  subset.reserve(activations.size());
+  for (const sat::Lit a : activations) {
+    const auto it = std::lower_bound(activation_.begin(), activation_.end(), a);
+    assert(it != activation_.end() && *it == a && "not an activation literal");
+    subset.push_back(candidates_[static_cast<size_t>(it - activation_.begin())]);
+  }
+  return sim_->refutes_subset(subset);
+}
+
 sat::LBool SupportInstance::check_subset(std::span<const size_t> subset,
                                          int64_t conflict_budget, bool use_sim_filter) {
   if (use_sim_filter && sim_ != nullptr && sim_->refutes_subset(subset)) {
@@ -166,7 +180,21 @@ SupportResult compute_support(SupportInstance& inst, const std::vector<Divisor>&
   } else {
     sat::MinimizeStats stats;
     sat::LitVec ctx;
-    const int kept = sat::minimize_assumptions(solver, core_lits, ctx, &stats);
+    // Bank screen: a query whose divisors the bank already shows
+    // insufficient is answered SAT from the witness, and every model the
+    // solver finds joins the bank for later screens, last gasp and the
+    // verification seeds. Algorithm 1 branches only on UNSAT-or-not, so the
+    // kept subset is exactly the unscreened one.
+    sat::QueryScreen screen;
+    if (options.sim_screen && inst.sim_filter() != nullptr) {
+      screen.known_sat = [&inst](std::span<const sat::Lit> query) {
+        if (!inst.sim_refutes(query)) return false;
+        ledger::append_sim_hit(ledger::Purpose::kSupport, ledger::QueryResult::kSat);
+        return true;
+      };
+      screen.on_sat = [&inst] { inst.harvest_model(); };
+    }
+    const int kept = sat::minimize_assumptions(solver, core_lits, ctx, &stats, screen);
     result.sat_calls += stats.sat_calls;
     // Map kept literals back to divisor indices.
     for (int i = 0; i < kept; ++i) {
@@ -192,7 +220,7 @@ SupportResult compute_support(SupportInstance& inst, const std::vector<Divisor>&
           ++result.sat_calls;
           ECO_TELEMETRY_COUNT("support.last_gasp_queries");
           if (inst.check_subset(trial, options.conflict_budget,
-                                options.sim_refute_last_gasp).is_false()) {
+                                options.sim_screen).is_false()) {
             ECO_TELEMETRY_COUNT("support.last_gasp_improvements");
             chosen = std::move(trial);
             break;

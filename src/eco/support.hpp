@@ -37,11 +37,13 @@ struct SupportOptions {
   int max_last_gasp_queries = 256;
   /// Conflict budget per SAT query (< 0 unlimited).
   int64_t conflict_budget = -1;
-  /// Let an attached SimFilter answer last-gasp trial checks without the
-  /// solver. Must be false when a model-consuming pass (sat_prune) will run
-  /// on the same instance afterwards: skipping solves changes the solver's
-  /// learnt state and therefore the models that pass would read.
-  bool sim_refute_last_gasp = true;
+  /// Let an attached SimFilter answer Algorithm 1's queries and the
+  /// last-gasp trial checks without the solver, and harvest the models of
+  /// the Algorithm 1 queries the solver answers SAT. Must be false when a
+  /// model-consuming pass (sat_prune) will run on the same instance
+  /// afterwards: skipping solves changes the solver's learnt state and
+  /// therefore the models that pass would read.
+  bool sim_screen = true;
 };
 
 struct SupportResult {
@@ -86,6 +88,11 @@ class SupportInstance {
 
   /// Assumption literal of candidate divisor \p global_index.
   sat::Lit activation(size_t global_index) const;
+
+  /// True when the attached filter's bank holds a witness that the query
+  /// assuming \p activations (activation literals of candidates) is
+  /// satisfiable, i.e. that their divisors are insufficient.
+  bool sim_refutes(std::span<const sat::Lit> activations);
 
   /// Records the solver's current model (one pattern per copy) into the
   /// attached filter's bank; no-op without a filter. check_subset calls this

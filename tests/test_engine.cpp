@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "benchgen/circuits.hpp"
@@ -7,7 +9,11 @@
 #include "benchgen/weightgen.hpp"
 #include "cec/cec.hpp"
 #include "eco/engine.hpp"
+#include "eco/miter.hpp"
+#include "eco/window.hpp"
 #include "net/verilog.hpp"
+#include "qbf/qbf2.hpp"
+#include "util/cancel.hpp"
 #include "util/executor.hpp"
 #include "util/rng.hpp"
 
@@ -50,6 +56,20 @@ void expect_outcome_consistent(const EcoProblem& problem, const EcoOutcome& outc
     EXPECT_TRUE(found) << "support name not a divisor: " << name;
   }
   EXPECT_EQ(cost, outcome.total_cost);
+}
+
+/// A verified SAT-path patch proves target sufficiency, so the engine skips
+/// the 2QBF check: it must report no QBF work, and the check it skipped must
+/// indeed answer "sufficient" (kFalse) on the problem's feasibility miter.
+void expect_sat_patch_skips_sufficient_check(const EcoProblem& problem,
+                                             const EcoOutcome& outcome) {
+  if (outcome.method != "sat" || !outcome.verified) return;
+  EXPECT_EQ(outcome.stats.qbf_iterations, 0);
+  EXPECT_EQ(outcome.stats.qbf_seconds, 0.0);
+  const Window window = compute_window(problem, /*conflict_budget=*/200000);
+  const EcoMiter m = build_eco_miter(problem.impl, problem.spec, std::span<const aig::Lit>{},
+                                     window.affected_pos);
+  EXPECT_EQ(qbf::solve_exists_forall(m.aig, m.out, m.num_x).status, qbf::Qbf2Status::kFalse);
 }
 
 TEST(Engine, ReferenceSingleTargetAllAlgorithms) {
@@ -188,6 +208,54 @@ TEST(Engine, StructuralFallbackWhenExpansionCapped) {
   EXPECT_TRUE(outcome.verified);
   EXPECT_EQ(outcome.method, "structural");
   for (const auto& t : outcome.targets) EXPECT_TRUE(t.structural);
+  // The SAT path returned no patch, so the sufficiency check ran after it
+  // and handed the multi-target structural path its certificate.
+  EXPECT_GT(outcome.stats.qbf_iterations, 0);
+}
+
+TEST(Engine, LateSufficiencyCheckRunsInItsGraceWindow) {
+  // The two-target instance above, under a caller token whose deadline has
+  // passed: the SAT path stops at once, and the late check must still run
+  // in its own grace window and give the structural path the certificate
+  // that a forced structural run with a live token gets up front.
+  const net::Network impl = net::parse_verilog_string(R"(
+    module impl (a, b, c, t0, t1, y0, y1);
+      input a, b, c, t0, t1;
+      output y0, y1;
+      and (y0, t0, c);
+      or  (y1, t1, c);
+    endmodule
+  )");
+  const net::Network spec = net::parse_verilog_string(R"(
+    module spec (a, b, c, y0, y1);
+      input a, b, c;
+      output y0, y1;
+      xor (w0, a, b);
+      and (y0, w0, c);
+      and (w1, a, b);
+      or  (y1, w1, c);
+    endmodule
+  )");
+  EngineOptions expired = fast_options(Algorithm::kMinimize);
+  expired.max_expansion_nodes = 0;
+  expired.cancel = CancelToken(0.001);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(expired.cancel.cancelled());
+  const EcoOutcome late = run_eco(impl, spec, net::WeightMap{}, expired);
+
+  EngineOptions forced = fast_options(Algorithm::kMinimize);
+  forced.max_expansion_nodes = 0;
+  forced.force_structural = true;
+  const EcoOutcome first = run_eco(impl, spec, net::WeightMap{}, forced);
+
+  ASSERT_EQ(first.status, EcoOutcome::Status::kPatched);
+  ASSERT_EQ(late.status, EcoOutcome::Status::kPatched);
+  EXPECT_TRUE(late.verified);
+  EXPECT_EQ(late.method, first.method);
+  EXPECT_EQ(late.total_cost, first.total_cost);
+  EXPECT_EQ(late.patch_gates, first.patch_gates);
+  EXPECT_EQ(late.stats.qbf_iterations, first.stats.qbf_iterations);
+  EXPECT_GT(late.stats.qbf_iterations, 0);
 }
 
 TEST(Engine, ForceStructuralWithCegarMin) {
@@ -215,6 +283,8 @@ TEST(Engine, ForceStructuralWithCegarMin) {
   ASSERT_EQ(outcome.status, EcoOutcome::Status::kPatched);
   EXPECT_TRUE(outcome.verified);
   EXPECT_EQ(outcome.method, "structural+cegar_min");
+  // A forced structural run checks sufficiency up front.
+  EXPECT_GT(outcome.stats.qbf_iterations, 0);
   // CEGAR_min should discover that the patch cone is expressible over the
   // cheap equivalent signal `ab` (plus possibly c), beating the PI support.
   EXPECT_LT(outcome.total_cost, 150);
@@ -337,6 +407,7 @@ TEST_P(EngineRandomTest, RandomInstancesPatchedAndVerified) {
           << "algorithm " << static_cast<int>(algorithm) << " failed on seed "
           << GetParam() << " iter " << iter;
       EXPECT_TRUE(outcome.verified);
+      expect_sat_patch_skips_sufficient_check(problem, outcome);
       if (algorithm == Algorithm::kBaseline) {
         baseline_cost = outcome.total_cost;
       } else if (algorithm == Algorithm::kMinimize && num_targets == 1) {

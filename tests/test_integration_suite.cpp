@@ -5,10 +5,13 @@
 
 #include "benchgen/suite.hpp"
 #include "eco/engine.hpp"
+#include "eco/miter.hpp"
+#include "eco/window.hpp"
 #include "net/aignet.hpp"
 #include "net/elaborate.hpp"
 #include "net/verilog.hpp"
 #include "net/weights.hpp"
+#include "qbf/qbf2.hpp"
 
 namespace eco::core {
 namespace {
@@ -41,6 +44,16 @@ TEST_P(SuiteIntegration, AllConfigurationsPatchAndVerify) {
     for (const auto& t : outcome.targets)
       support_names.insert(t.support.begin(), t.support.end());
     EXPECT_EQ(outcome.patch_module.num_pis(), support_names.size());
+    // A verified SAT-path patch proves sufficiency, so the 2QBF check is
+    // skipped; run here, it must agree that the targets suffice.
+    if (outcome.method == "sat") {
+      EXPECT_EQ(outcome.stats.qbf_iterations, 0);
+      const Window window = compute_window(problem, options.conflict_budget);
+      const EcoMiter m = build_eco_miter(problem.impl, problem.spec,
+                                         std::span<const aig::Lit>{}, window.affected_pos);
+      EXPECT_EQ(qbf::solve_exists_forall(m.aig, m.out, m.num_x).status,
+                qbf::Qbf2Status::kFalse);
+    }
     if (algorithm == Algorithm::kBaseline) baseline_cost = outcome.total_cost;
     if (algorithm == Algorithm::kMinimize) {
       EXPECT_LE(outcome.total_cost, baseline_cost);

@@ -17,7 +17,10 @@
 #include <tuple>
 #include <vector>
 
+#include "aig/aig.hpp"
 #include "benchgen/suite.hpp"
+#include "cec/cec.hpp"
+#include "cec/sweep.hpp"
 #include "eco/engine.hpp"
 #include "eco/problem.hpp"
 #include "sat/solver.hpp"
@@ -203,6 +206,61 @@ TEST_F(LedgerTest, PurposeScopeIsPerThread) {
   std::thread t([&] { other = led::current_purpose(); });
   t.join();
   EXPECT_EQ(other, led::Purpose::kUnknown);
+}
+
+// A cec_check record carries the search work of the check's own solves:
+// its counters equal the sum of the `solve` records the check appended.
+TEST_F(LedgerTest, CecCheckRecordCarriesTheWorkOfItsSolves) {
+  // x0 ^ ... ^ x9 as a left chain against a balanced tree: equivalent, and
+  // XOR structure makes the solver search.
+  eco::aig::Aig g;
+  std::vector<eco::aig::Lit> x;
+  for (int i = 0; i < 10; ++i) x.push_back(g.add_pi("x" + std::to_string(i)));
+  eco::aig::Lit chain = x[0];
+  for (size_t i = 1; i < x.size(); ++i) chain = g.add_xor(chain, x[i]);
+  std::vector<eco::aig::Lit> level = x;
+  while (level.size() > 1) {
+    std::vector<eco::aig::Lit> next;
+    for (size_t i = 0; i + 1 < level.size(); i += 2) next.push_back(g.add_xor(level[i], level[i + 1]));
+    if (level.size() % 2 == 1) next.push_back(level.back());
+    level = std::move(next);
+  }
+  const eco::aig::Lit root = g.add_xor(chain, level[0]);
+
+  const auto check_records = [](const char* what) {
+    uint64_t conflicts = 0, decisions = 0, propagations = 0;
+    int checks = 0;
+    for (const led::Record& r : led::collect()) {
+      if (r.kind == led::Kind::kSolve) {
+        conflicts += r.conflicts;
+        decisions += r.decisions;
+        propagations += r.propagations;
+      } else if (r.kind == led::Kind::kCecCheck) {
+        ++checks;
+        EXPECT_EQ(r.conflicts, conflicts) << what;
+        EXPECT_EQ(r.decisions, decisions) << what;
+        EXPECT_EQ(r.propagations, propagations) << what;
+        EXPECT_EQ(r.vars, 10u) << what;  // the miter's PI count
+        EXPECT_GE(r.conflicts, 1u) << what;
+      }
+    }
+    EXPECT_EQ(checks, 1) << what;
+  };
+
+  led::reset();
+  EXPECT_EQ(eco::cec::check_const0(g, root).status, eco::cec::Status::kEquivalent);
+  check_records("check_const0");
+
+  led::reset();
+  eco::cec::SweepOptions no_merges;
+  no_merges.max_rounds = 0;  // leave the whole miter to the final root query
+  EXPECT_EQ(eco::cec::sweep_check(g, root, -1, {}, {}, {}, nullptr, no_merges).cec.status,
+            eco::cec::Status::kEquivalent);
+  check_records("sweep_check, root query only");
+
+  led::reset();
+  EXPECT_EQ(eco::cec::sweep_check(g, root).cec.status, eco::cec::Status::kEquivalent);
+  check_records("sweep_check");
 }
 
 // ---- engine integration --------------------------------------------------
