@@ -146,9 +146,26 @@ TEST_F(ChaosTest, WindowExtractAlwaysFails) {
 }
 
 TEST_F(ChaosTest, QbfIterCapAlwaysFires) {
-  // Feasibility check gives up instantly: the SAT path must still solve the
-  // unit on its own.
+  // Feasibility check gives up instantly whenever it runs: the SAT path must
+  // still solve the unit on its own (its patch makes the check unnecessary).
   chaos_run(0, "qbf.itercap");
+}
+
+TEST_F(ChaosTest, QbfIterCapFiresWhenStructuralIsForced) {
+  // A forced structural run checks sufficiency before anything else, so the
+  // seam is visited; without the certificate the single-target structural
+  // patch must still come out verified.
+  const benchgen::EcoUnit u = benchgen::make_unit(0, /*seed=*/20170912);
+  const EcoProblem problem = make_problem(u.impl, u.spec, u.weights);
+  ASSERT_TRUE(fault::arm("qbf.itercap"));
+  EngineOptions options = chaos_options();
+  options.force_structural = true;
+  const EcoOutcome outcome = run_eco(problem, options);
+  EXPECT_GT(fault::fired_count(fault::Site::kQbfIterCap), 0u);
+  fault::disarm_all();
+  ASSERT_EQ(outcome.status, EcoOutcome::Status::kPatched);
+  EXPECT_TRUE(outcome.verified);
+  EXPECT_TRUE(independently_equivalent(problem, outcome.patched_impl));
 }
 
 TEST_F(ChaosTest, VerifyTimeoutAlwaysFires) {
